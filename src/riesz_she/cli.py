@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from .config import KINDS, ConfigError, load_config
+from .config import KINDS, ConfigError, load_config, validate_config
 from .engine import DegenerateSigmaError, InstabilityError
 from .runner import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_INSTABILITY,
                      emit_results, run_experiment)
@@ -35,7 +35,6 @@ def main(argv=None):
             cfg.seed = args.seed
         if args.replicas is not None:
             cfg.n_replicas = args.replicas
-        from .config import validate_config
         validate_config(cfg)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import InitialCondition, NonlinearitySpec
+from .engine import (InitialCondition, NonlinearitySpec, check_margin,
+                     time_grid)
 from .noise import Lattice, RieszSpec
 from .observables import Region
 
@@ -64,15 +65,6 @@ def _int_list(s):
     return [int(v) for v in s.split(",") if v.strip() != ""]
 
 
-def _bool(s):
-    low = s.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError("not a boolean: %r" % (s,))
-
-
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -87,7 +79,6 @@ class ExperimentConfig:
     region_kind: str
     n_replicas: int
     seed: int
-    store_fields: bool = False
     lags: list = None
     y_list: list = None
     p_moment: int = 2
@@ -110,7 +101,6 @@ class ExperimentConfig:
             "region_kind = %s" % self.region_kind,
             "n_replicas = %d" % self.n_replicas,
             "seed = %d" % self.seed,
-            "store_fields = %s" % ("true" if self.store_fields else "false"),
             "p_moment = %d" % self.p_moment,
         ]
         if self.lags is not None:
@@ -219,7 +209,6 @@ def parse_config(text):
                           % (region_kind,))
     n_replicas = _get(top, "n_replicas", int, default=100)
     seed = _get(top, "seed", int, default=0)
-    store_fields = _get(top, "store_fields", _bool, default=False)
     lags = _get(top, "lags", _int_list, default=None)
     y_list = _get(top, "y_list", _float_list, default=None)
     p_moment = _get(top, "p_moment", int, default=2)
@@ -228,8 +217,7 @@ def parse_config(text):
         kind=kind, spec=spec, lattice=lattice, sigma=sigma, init=init,
         T=T, dt=dt, record_times=record_times, R_list=R_list,
         region_kind=region_kind, n_replicas=n_replicas, seed=seed,
-        store_fields=store_fields, lags=lags, y_list=y_list,
-        p_moment=p_moment, init_params=init_params)
+        lags=lags, y_list=y_list, p_moment=p_moment, init_params=init_params)
     validate_config(cfg)
     return cfg
 
@@ -242,32 +230,17 @@ def validate_config(cfg):
             raise ConfigError("T must be positive for kind %r" % (cfg.kind,))
         if not cfg.R_list:
             raise ConfigError("R_list is required for kind %r" % (cfg.kind,))
-        # time grid
-        n_steps = cfg.T / cfg.dt
-        if abs(n_steps - round(n_steps)) > 1e-6:
-            raise ConfigError("T=%g is not a multiple of dt=%g (T/dt=%g)"
-                              % (cfg.T, cfg.dt, n_steps))
-        for t in cfg.record_times:
-            k = t / cfg.dt
-            if abs(k - round(k)) > 1e-6:
-                raise ConfigError(
-                    "record time %g is not a multiple of dt=%g" % (t, cfg.dt))
-            if t > cfg.T + 1e-12:
-                raise ConfigError("record time %g exceeds T=%g" % (t, cfg.T))
-        # torus margin
-        r_max = max(cfg.R_list)
-        margin = r_max + 6.0 * np.sqrt(cfg.T)
-        if cfg.lattice.L < margin - 1e-12:
-            raise ConfigError("L=%g < R_max+6*sqrt(T)=%g"
-                              % (cfg.lattice.L, margin))
+        try:
+            time_grid(cfg.T, cfg.dt, cfg.record_times)
+            check_margin(cfg.lattice, cfg.regions, cfg.T)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
     if cfg.kind == "fclt" and len(cfg.record_times) < 2:
         raise ConfigError("fclt needs at least two record times")
     if cfg.kind == "tightness" and len(cfg.record_times) < 5:
         raise ConfigError("tightness needs a base time plus >= 4 gap times")
     if cfg.kind == "lemma31" and not cfg.y_list:
         raise ConfigError("lemma31 needs y_list")
-    if cfg.kind == "noise-validate" and cfg.dt <= 0:
-        raise ConfigError("noise-validate needs a positive dt")
     if cfg.n_replicas < 1:
         raise ConfigError("n_replicas must be >= 1, got %d" % cfg.n_replicas)
 

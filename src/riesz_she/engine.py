@@ -5,12 +5,11 @@ where S_t is the periodic heat semigroup applied spectrally and dW is one
 step-integrated noise slice (variance proportional to dt).
 """
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import Lattice, SpatialField, sample_slice
+from .noise import SpatialField, sample_slice
 from .streams import stream_for
 
 
@@ -161,10 +160,6 @@ def heat_semigroup(field_in, tau):
     return SpatialField(lat, out)
 
 
-def nonlinearity_eval(spec, v):
-    return float(spec(np.float64(v)))
-
-
 def step(state, slice_field, sigma, dt, _mult=None):
     """One exponential-Euler step; raises on blow-up."""
     lat = state.field.lattice
@@ -193,6 +188,18 @@ def snap_to_grid(t, dt, what="time"):
     return int(k)
 
 
+def time_grid(T, dt, record_times):
+    """Step count to the horizon T and {step index: record time}."""
+    n_steps = snap_to_grid(T, dt, "horizon T")
+    record_steps = {}
+    for t in record_times:
+        k = snap_to_grid(t, dt, "record time")
+        if k > n_steps:
+            raise ValueError("record time %r exceeds horizon %r" % (t, T))
+        record_steps[k] = t
+    return n_steps, record_steps
+
+
 def check_margin(lattice, regions, T):
     """Torus must leave a 6*sqrt(T) collar outside every region."""
     collar = 6.0 * np.sqrt(T)
@@ -200,9 +207,8 @@ def check_margin(lattice, regions, T):
         center = reg.resolved_center(lattice.d)
         reach = float(np.max(np.abs(center)) + reg.radius)
         if lattice.L < reach - 1e-12 + collar:
-            raise ValueError(
-                "L=%g < region reach + 6*sqrt(T) = %g + %g = %g"
-                % (lattice.L, reach, collar, reach + collar))
+            raise ValueError("L=%g < R_max+6*sqrt(T)=%g"
+                             % (lattice.L, reach + collar))
 
 
 def mean_field(init, t, lattice):
@@ -226,13 +232,7 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
 
     lat = noise_cov.lattice
     check_margin(lat, regions, T)
-    n_steps = snap_to_grid(T, dt, "horizon T")
-    record_steps = {}
-    for t in record_times:
-        k = snap_to_grid(t, dt, "record time")
-        if k > n_steps:
-            raise ValueError("record time %r exceeds horizon %r" % (t, T))
-        record_steps[k] = t
+    n_steps, record_steps = time_grid(T, dt, record_times)
     if mean_fields is None:
         mean_fields = {t: mean_field(init, t, lat) for t in record_times}
 
@@ -260,29 +260,3 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
         if state.step_index in record_steps:
             record(state)
     return traj
-
-
-# --- flat binary field snapshots -------------------------------------------
-
-_MAGIC = b"RSHE1"
-
-
-def write_snapshot(path, field_in, time):
-    """magic 'RSHE1', then d, n (int64 LE), h, time (float64 LE), then
-    n^d float64 cell values in row-major order."""
-    lat = field_in.lattice
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<qqdd", lat.d, lat.n, lat.h, time))
-        fh.write(field_in.values.astype("<f8").tobytes(order="C"))
-
-
-def read_snapshot(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != _MAGIC:
-            raise ValueError("bad snapshot magic %r in %s" % (magic, path))
-        d, n, h, time = struct.unpack("<qqdd", fh.read(32))
-        lat = Lattice(d=d, n=n, L=n * h / 2.0)
-        vals = np.frombuffer(fh.read(8 * n ** d), dtype="<f8").reshape((n,) * d)
-    return SpatialField(lat, vals.copy()), time

@@ -203,7 +203,6 @@ def limit_covariance(times, constants):
 
 def constants_rows(spec, region_kind="ball", methods=("closed-form", "monte-carlo")):
     """CSV-ready rows (name, d, beta, region_kind, value, stderr, method)."""
-    from .noise import RieszSpec  # noqa: F401  (type documented, not enforced)
     rows = []
     unit = Region(kind=region_kind, radius=1.0)
     for method in methods:

@@ -19,10 +19,10 @@ from .config import ExperimentConfig
 from .engine import DegenerateSigmaError, mean_field, simulate
 from .noise import build_embedding, covariance_diagnostic, sample_slice
 from .observables import LimitConstants, Region, constants_rows, estimate_eta, k_beta
-from .stats import (SampleSet, StatsReport, correlation_decay_check,
-                    functional_cov_check, increment_moment_fit,
-                    increment_r_scaling, ks_distance, lemma31_check, rate_fit,
-                    scaling_fit, standardize)
+from .stats import (KS_FLOOR_1PCT, SampleSet, StatsReport,
+                    correlation_decay_check, functional_cov_check,
+                    increment_moment_fit, increment_r_scaling, ks_distance,
+                    lemma31_check, rate_fit, scaling_fit, standardize)
 from .streams import stream_for
 
 EXIT_PASS = 0
@@ -52,33 +52,34 @@ class ResultSet:
 
 def _run_chunk(args):
     (cov, sigma, init, T, dt, record_times, regions, seed, replica_ids,
-     store_fields, mean_fields) = args
+     keep_fields, mean_fields) = args
     return [simulate(cov, sigma, init, T, dt, record_times, regions, seed,
-                     rid, store_fields=store_fields, mean_fields=mean_fields)
+                     rid, keep_fields, mean_fields)
             for rid in replica_ids]
 
 
-def run_replicas(cfg, cov, workers=1, store_fields=None):
-    """All replica trajectories, merged in replica_id order."""
-    if store_fields is None:
-        store_fields = cfg.store_fields
-    regions = cfg.regions
+def run_replicas(cfg, cov, workers=1):
+    """All replica trajectories, merged in replica_id order.
+
+    Fields are stored only where a pipeline reads them: the decay check,
+    and eta estimated for the limit constants when it is not exact.
+    """
+    keep_fields = cfg.kind == "decay" or (
+        cfg.kind in ("variance-limit", "fclt") and not _eta_exact(cfg))
     mean_fields = {t: mean_field(cfg.init, t, cfg.lattice)
                    for t in cfg.record_times}
     ids = list(range(cfg.n_replicas))
+    n_chunks = min(max(workers, 1), len(ids))
+    args = [(cov, cfg.sigma, cfg.init, cfg.T, cfg.dt, cfg.record_times,
+             cfg.regions, cfg.seed, ids[i::n_chunks], keep_fields,
+             mean_fields)
+            for i in range(n_chunks)]
     if workers <= 1:
-        trajs = _run_chunk((cov, cfg.sigma, cfg.init, cfg.T, cfg.dt,
-                            cfg.record_times, regions, cfg.seed, ids,
-                            store_fields, mean_fields))
+        parts = map(_run_chunk, args)
     else:
-        chunks = [ids[i::workers] for i in range(workers)]
-        args = [(cov, cfg.sigma, cfg.init, cfg.T, cfg.dt, cfg.record_times,
-                 regions, cfg.seed, chunk, store_fields, mean_fields)
-                for chunk in chunks if chunk]
-        trajs = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, args):
-                trajs.extend(part)
+            parts = list(pool.map(_run_chunk, args))
+    trajs = [tr for part in parts for tr in part]
     trajs.sort(key=lambda tr: tr.replica_id)
     return trajs
 
@@ -102,19 +103,22 @@ def _check_degenerate(cfg):
             "every G_R vanishes" % cfg.init.value)
 
 
+def _eta_exact(cfg):
+    """E u(t,.) = u0 for centered noise, so eta(s) = sigma(u0) exactly
+    when u0 is constant and sigma is affine."""
+    return cfg.init.kind == "constant" and \
+        cfg.sigma.kind in ("linear", "affine")
+
+
 def _limit_constants(cfg, rs):
     """Exact eta where available, else estimated from stored fields."""
     unit = Region(kind=cfg.region_kind, radius=1.0)
     k_val, _ = k_beta(unit, cfg.spec)
-    t_grid = sorted(set([0.0] + list(cfg.record_times)))
-    if cfg.init.kind == "constant" and cfg.sigma.kind in ("linear", "affine"):
-        # E u(t,.) = u0 for centered noise, so eta(s) = sigma(u0) exactly
+    if _eta_exact(cfg):
+        t_grid = sorted(set([0.0] + list(cfg.record_times)))
         eta0 = float(cfg.sigma(np.float64(cfg.init.value)))
         return LimitConstants(k_beta=k_val, t_grid=np.array(t_grid),
                               eta=np.full(len(t_grid), eta0))
-    if not rs.fields_by_time:
-        raise ValueError("nonlinear sigma needs store_fields=true to "
-                         "estimate eta")
     times, eta, se = estimate_eta(rs.fields_by_time, cfg.sigma, cfg.lattice,
                                   collar=6.0 * np.sqrt(cfg.T))
     if 0.0 not in times:
@@ -127,7 +131,7 @@ def _limit_constants(cfg, rs):
 
 # --- per-kind pipelines -----------------------------------------------------
 
-def _run_noise_validate(cfg):
+def _run_noise_validate(cfg, workers):
     cov = build_embedding(cfg.lattice, cfg.spec)
     slices = [sample_slice(cov, cfg.dt, stream_for(cfg.seed, i, 0))
               for i in range(cfg.n_replicas)]
@@ -152,10 +156,9 @@ def _run_simulation_kind(cfg, workers):
     trajs = run_replicas(cfg, cov, workers=workers)
     rs = ResultSet(config=cfg)
     rs.samples = collect_samples(trajs, cfg)
-    if cfg.store_fields:
-        for t in cfg.record_times:
-            rs.fields_by_time[t] = np.stack(
-                [tr.fields_at_times[t].values for tr in trajs])
+    for t in trajs[0].fields_at_times:
+        rs.fields_by_time[t] = np.stack(
+            [tr.fields_at_times[t].values for tr in trajs])
     return rs
 
 
@@ -225,7 +228,7 @@ def _run_clt(cfg, workers):
         metric="ks_rate_exponent", params={"t": t},
         estimate=exponent, target=-beta / 2.0, tolerance=float("inf"),
         passed=rate_ok, stderr=exp_se, note=note))
-    floor = 1.63 / np.sqrt(cfg.n_replicas)
+    floor = KS_FLOOR_1PCT / np.sqrt(cfg.n_replicas)
     exceptions = sum(1 for (ra, da), (rb, db) in zip(ks_pairs, ks_pairs[1:])
                      if db > da and db > floor)
     rs.reports.append(StatsReport(
@@ -258,8 +261,7 @@ def _run_tightness(cfg, workers):
     if len(Rs) >= 2:
         R_lo, R_hi = Rs[-2], Rs[-1]
         ratio = increment_r_scaling(rs.samples[R_lo], rs.samples[R_hi],
-                                    R_lo, R_hi, (base, times[-1]),
-                                    p=cfg.p_moment)
+                                    (base, times[-1]), p=cfg.p_moment)
         target = (R_hi / R_lo) ** (cfg.p_moment * (d - beta / 2.0))
         rs.reports.append(StatsReport(
             metric="increment_r_scaling",
@@ -270,7 +272,6 @@ def _run_tightness(cfg, workers):
 
 
 def _run_decay(cfg, workers):
-    cfg.store_fields = True
     rs = _run_simulation_kind(cfg, workers)
     t = max(cfg.record_times)
     lags = cfg.lags
@@ -287,14 +288,14 @@ def _run_decay(cfg, workers):
     return rs
 
 
-def _run_lemma31(cfg):
+def _run_lemma31(cfg, workers):
     rs = ResultSet(config=cfg)
     for y in cfg.y_list:
         rs.reports.append(lemma31_check(cfg.spec, [y] + [0.0] * (cfg.spec.d - 1)))
     return rs
 
 
-def _run_constants(cfg):
+def _run_constants(cfg, workers):
     rs = ResultSet(config=cfg)
     rs.constants = constants_rows(cfg.spec, region_kind=cfg.region_kind)
     for name, d, beta, rk, val, se, method in rs.constants:
@@ -306,27 +307,23 @@ def _run_constants(cfg):
     return rs
 
 
+_PIPELINES = {
+    "noise-validate": _run_noise_validate,
+    "variance-limit": _run_variance_limit,
+    "clt": _run_clt,
+    "fclt": _run_fclt,
+    "tightness": _run_tightness,
+    "decay": _run_decay,
+    "lemma31": _run_lemma31,
+    "constants": _run_constants,
+}
+
+
 def run_experiment(cfg, workers=1):
-    t0 = _time.monotonic()
-    if cfg.kind == "noise-validate":
-        rs = _run_noise_validate(cfg)
-    elif cfg.kind == "variance-limit":
-        rs = _run_variance_limit(cfg, workers)
-    elif cfg.kind == "clt":
-        _check_degenerate(cfg)
-        rs = _run_clt(cfg, workers)
-    elif cfg.kind == "fclt":
-        rs = _run_fclt(cfg, workers)
-    elif cfg.kind == "tightness":
-        rs = _run_tightness(cfg, workers)
-    elif cfg.kind == "decay":
-        rs = _run_decay(cfg, workers)
-    elif cfg.kind == "lemma31":
-        rs = _run_lemma31(cfg)
-    elif cfg.kind == "constants":
-        rs = _run_constants(cfg)
-    else:
+    if cfg.kind not in _PIPELINES:
         raise ValueError("unknown kind %r" % (cfg.kind,))
+    t0 = _time.monotonic()
+    rs = _PIPELINES[cfg.kind](cfg, workers)
     rs.wall_seconds = _time.monotonic() - t0
     return rs
 

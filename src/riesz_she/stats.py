@@ -18,7 +18,6 @@ from .observables import limit_covariance, predicted_sigma
 
 # Order-statistic floors for the KS estimator on exact-normal input.
 KS_FLOOR_1PCT = 1.63    # / sqrt(N)
-KS_FLOOR_01PCT = 1.95   # / sqrt(N)
 
 
 @dataclass
@@ -55,7 +54,7 @@ class StatsReport:
             "stderr": self.stderr if self.stderr is not None else "",
             "target": self.target,
             "tolerance": self.tolerance,
-            "pass": self.passed,
+            "pass": bool(self.passed),
         }
 
 
@@ -200,12 +199,10 @@ def increment_moment_fit(samples_by_time, time_pairs, p=2,
         note="one-sided: slope >= %.3g" % target)
 
 
-def increment_r_scaling(samples_lo, samples_hi, R_lo, R_hi, time_pair, p=2,
-                        rel_tol=0.2):
-    """Ratio of increment moments at two radii vs (R_hi/R_lo)^{p(d-beta/2)}.
+def increment_r_scaling(samples_lo, samples_hi, time_pair, p=2):
+    """Ratio E|dG_hi|^p / E|dG_lo|^p of increment moments at two radii.
 
-    The exponent is supplied via the target argument by the caller; here we
-    just measure the ratio.
+    The caller compares it with (R_hi/R_lo)^{p(d-beta/2)}.
     """
     s, t = time_pair
     inc_lo = np.asarray(samples_lo[t]) - np.asarray(samples_lo[s])

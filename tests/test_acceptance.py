@@ -181,8 +181,7 @@ def test_criterion_07_tightness(reference_run):
     cfg, samples, _ = reference_run
     pairs = [(0.1, t) for t in TIMES[1:]]  # gaps 4*dt .. 0.1
     rep = increment_moment_fit(samples[16.0], pairs, p=2)
-    ratio = increment_r_scaling(samples[8.0], samples[16.0], 8.0, 16.0,
-                                (0.1, 0.2), p=2)
+    ratio = increment_r_scaling(samples[8.0], samples[16.0], (0.1, 0.2), p=2)
     target = 2.0 ** 1.5
     ok = rep.passed and abs(ratio - target) <= 0.2 * target
     report(7, "tightness moments", ok,

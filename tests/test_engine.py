@@ -4,9 +4,7 @@ import pytest
 from riesz_she import (InitialCondition, Lattice, NonlinearitySpec, RieszSpec,
                        SpatialField, build_embedding, heat_semigroup,
                        mean_field, sample_slice, simulate)
-from riesz_she.engine import (FieldState, InstabilityError, nonlinearity_eval,
-                              read_snapshot, snap_to_grid, step,
-                              write_snapshot)
+from riesz_she.engine import FieldState, InstabilityError, snap_to_grid, step
 from riesz_she.streams import stream_for
 
 
@@ -19,12 +17,12 @@ def small_setup():
 
 
 def test_sigma_kinds():
-    assert nonlinearity_eval(NonlinearitySpec("linear"), 1.0) == 1.0
-    assert nonlinearity_eval(NonlinearitySpec("affine", a=1, b=-1), 1.0) == 0.0
-    assert nonlinearity_eval(
-        NonlinearitySpec("sine-affine", a=1, b=0, c=2), 0.0) == 2.0
-    assert nonlinearity_eval(NonlinearitySpec("clipped-linear"), -3.0) == 0.0
-    assert nonlinearity_eval(NonlinearitySpec("clipped-linear"), 3.0) == 3.0
+    assert NonlinearitySpec("linear")(np.float64(1.0)) == 1.0
+    assert NonlinearitySpec("affine", a=1, b=-1)(np.float64(1.0)) == 0.0
+    assert NonlinearitySpec("sine-affine", a=1, b=0, c=2)(np.float64(0.0)) \
+        == 2.0
+    assert NonlinearitySpec("clipped-linear")(np.float64(-3.0)) == 0.0
+    assert NonlinearitySpec("clipped-linear")(np.float64(3.0)) == 3.0
 
 
 def test_sigma_lipschitz_audit():
@@ -254,27 +252,3 @@ def test_fourth_moment_stable_under_dt_halving(small_setup):
     m_fine = fourth_moment(0.0025, 40, 102)
     assert np.isfinite(m_coarse) and np.isfinite(m_fine)
     assert abs(m_fine - m_coarse) <= 0.10 * m_coarse
-
-
-def test_snapshot_roundtrip(tmp_path, small_setup):
-    lat, _, _ = small_setup
-    rng = np.random.default_rng(4)
-    f = SpatialField(lat, rng.standard_normal(lat.shape))
-    path = tmp_path / "field.rshe"
-    write_snapshot(path, f, 0.25)
-    g, t = read_snapshot(path)
-    assert t == 0.25
-    assert g.lattice.n == lat.n and g.lattice.d == lat.d
-    assert g.lattice.h == pytest.approx(lat.h)
-    assert np.array_equal(g.values, f.values)
-    # header layout: magic + 2 int64 + 2 float64, then payload
-    raw = path.read_bytes()
-    assert raw[:5] == b"RSHE1"
-    assert len(raw) == 5 + 32 + 8 * lat.n_cells
-
-
-def test_snapshot_bad_magic(tmp_path):
-    p = tmp_path / "junk.rshe"
-    p.write_bytes(b"NOPE!" + b"\x00" * 40)
-    with pytest.raises(ValueError, match="magic"):
-        read_snapshot(p)

@@ -81,6 +81,16 @@ def test_canonical_text_round_trip():
     assert cfg2.dt == cfg.dt and cfg2.R_list == cfg.R_list
 
 
+def test_store_fields_line_is_ignored():
+    # the runner decides which kinds store fields; an old config that still
+    # says store_fields parses to the same experiment
+    cfg = parse_config(MINIMAL)
+    assert "store_fields" not in cfg.canonical_text()
+    old = parse_config(MINIMAL.replace("seed = 7",
+                                       "seed = 7\nstore_fields = true"))
+    assert old.config_hash() == cfg.config_hash()
+
+
 def test_kind_specific_validation():
     with pytest.raises(ConfigError, match="two record times"):
         parse_config(MINIMAL.replace("kind = clt", "kind = fclt"))
@@ -221,17 +231,25 @@ def test_worker_count_does_not_change_results(tmp_path):
             (tmp_path / "w2" / name).read_bytes()
 
 
-@pytest.mark.parametrize("kind, metric", [
-    ("variance-limit", "normalized_variance"),
-    ("fclt", "fclt_correlation"),
-])
-def test_limit_constant_kinds_run_and_emit(kind, metric, tmp_path):
+SINE_AFFINE = "\n[sigma]\nkind = sine-affine\na = 1\nb = 0.5\n"
+
+
+@pytest.mark.parametrize("kind, metric, sigma", [
+    ("variance-limit", "normalized_variance", ""),
+    ("fclt", "fclt_correlation", ""),
+    ("variance-limit", "normalized_variance", SINE_AFFINE),
+], ids=["variance-limit-normalized_variance", "fclt-fclt_correlation",
+        "variance-limit-sine-affine"])
+def test_limit_constant_kinds_run_and_emit(kind, metric, sigma, tmp_path):
     # both kinds normalise by k * int_0^t eta^2, so they reach
-    # LimitConstants.eta_sq_integral end to end
+    # LimitConstants.eta_sq_integral end to end; a nonlinear sigma makes
+    # the runner store fields to estimate eta
     cfg = parse_config(MINIMAL.replace("kind = clt", "kind = " + kind)
                        .replace("seed = 7",
-                                "seed = 7\nrecord_times = 0.02, 0.04"))
+                                "seed = 7\nrecord_times = 0.02, 0.04")
+                       + sigma)
     rs = run_experiment(cfg)
+    assert bool(rs.fields_by_time) == bool(sigma)
     reps = [r for r in rs.reports if r.metric == metric]
     assert reps and all(np.isfinite(r.estimate) and np.isfinite(r.target)
                         and r.target > 0 for r in reps)
@@ -240,6 +258,24 @@ def test_limit_constant_kinds_run_and_emit(kind, metric, tmp_path):
     assert [r["metric"] for r in payload["reports"]] == \
         [r.metric for r in rs.reports]
     assert metric in (tmp_path / "out" / "reports.csv").read_text()
+
+
+def test_cli_tightness_writes_outputs(tmp_path):
+    # increment gaps 0.002 .. 0.038 span a decade
+    cfgfile = tmp_path / "tight.cfg"
+    cfgfile.write_text(MINIMAL.replace("dt = 0.01", "dt = 0.002")
+                       .replace("seed = 7", "seed = 7\nrecord_times = "
+                                "0.002, 0.004, 0.008, 0.016, 0.04"))
+    outdir = tmp_path / "out"
+    code = cli_main(["tightness", "--config", str(cfgfile),
+                     "--out", str(outdir)])
+    assert code in (EXIT_PASS, EXIT_STAT_FAIL)
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "constants.csv", "manifest.json", "reports.csv", "reports.json",
+        "samples.csv"]
+    payload = json.loads((outdir / "reports.json").read_text())
+    assert [r["metric"] for r in payload["reports"]] == \
+        ["increment_moment_slope", "increment_r_scaling"]
 
 
 def test_empty_resultset_emits_headers(tmp_path):

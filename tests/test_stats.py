@@ -132,7 +132,7 @@ def test_increment_r_scaling_ratio():
     base = rng.standard_normal(10_000)
     lo = {0.0: np.zeros_like(base), 0.1: base}
     hi = {0.0: np.zeros_like(base), 0.1: 4.0 * base}
-    assert increment_r_scaling(lo, hi, 4.0, 8.0, (0.0, 0.1), p=2) == \
+    assert increment_r_scaling(lo, hi, (0.0, 0.1), p=2) == \
         pytest.approx(16.0, rel=1e-12)
 
 
