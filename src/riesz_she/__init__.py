@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .noise import (Lattice, RieszSpec, SpatialField, SpectralCovariance,
                     build_embedding, cell_self_energy, covariance_diagnostic,
-                    riesz_kernel_eval, sample_slice)
+                    sample_slice)
 from .engine import (DegenerateSigmaError, FieldState, InitialCondition,
                      InstabilityError, NonlinearitySpec, Trajectory,
                      heat_semigroup, mean_field, simulate, step)

@@ -19,6 +19,12 @@ from .observables import Region
 KINDS = ("noise-validate", "variance-limit", "clt", "fclt", "tightness",
          "decay", "lemma31", "constants")
 
+# Fewest replicas each kind's statistics accept: the KS distance, the decay
+# check, the noise covariance diagnostic and the eta estimate all need 100.
+# variance-limit and fclt estimate eta only when it is not exact.
+MIN_REPLICAS = {"noise-validate": 100, "clt": 100, "decay": 100,
+                "variance-limit": 100, "fclt": 100}
+
 
 class ConfigError(Exception):
     pass
@@ -83,6 +89,13 @@ class ExperimentConfig:
     y_list: list = None
     p_moment: int = 2
     init_params: dict = field(default_factory=dict)
+
+    @property
+    def eta_exact(self):
+        """E u(t,.) = u0 for centered noise, so eta(s) = sigma(u0) exactly
+        when u0 is constant and sigma is affine."""
+        return self.init.kind == "constant" and \
+            self.sigma.kind in ("linear", "affine")
 
     @property
     def regions(self):
@@ -241,8 +254,12 @@ def validate_config(cfg):
         raise ConfigError("tightness needs a base time plus >= 4 gap times")
     if cfg.kind == "lemma31" and not cfg.y_list:
         raise ConfigError("lemma31 needs y_list")
-    if cfg.n_replicas < 1:
-        raise ConfigError("n_replicas must be >= 1, got %d" % cfg.n_replicas)
+    need = MIN_REPLICAS.get(cfg.kind, 1)
+    if cfg.kind in ("variance-limit", "fclt") and cfg.eta_exact:
+        need = 1
+    if cfg.n_replicas < need:
+        raise ConfigError("kind %r needs n_replicas >= %d, got %d"
+                          % (cfg.kind, need, cfg.n_replicas))
 
 
 def load_config(path):

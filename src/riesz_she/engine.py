@@ -9,12 +9,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import SpatialField, sample_slice
+from .noise import SpatialField, checked_field, sample_slice
 from .streams import stream_for
 
 
 class InstabilityError(Exception):
-    """Non-finite field values during time stepping."""
+    """Non-finite field values during time stepping; row is the first
+    failing row of a stepped block."""
+
+    def __init__(self, message, row=0):
+        super().__init__(message)
+        self.row = row
 
 
 class DegenerateSigmaError(Exception):
@@ -146,6 +151,13 @@ def _heat_multiplier(lattice, tau):
     return np.exp(-0.5 * xi2 * tau)
 
 
+def _apply_multiplier(values, mult, lattice):
+    """Spectral multiply over the last d axes of a grid or a block of grids."""
+    axes = tuple(range(values.ndim - lattice.d, values.ndim))
+    return np.fft.irfftn(np.fft.rfftn(values, axes=axes) * mult,
+                         s=lattice.shape, axes=axes)
+
+
 def heat_semigroup(field_in, tau):
     """Periodic convolution with the heat kernel p_tau, done spectrally."""
     if tau < 0:
@@ -153,31 +165,26 @@ def heat_semigroup(field_in, tau):
     if tau == 0:
         return SpatialField(field_in.lattice, field_in.values.copy())
     lat = field_in.lattice
-    mult = _heat_multiplier(lat, tau)
-    axes = tuple(range(lat.d))
-    out = np.fft.irfftn(np.fft.rfftn(field_in.values, axes=axes) * mult,
-                        s=lat.shape, axes=axes)
-    return SpatialField(lat, out)
+    return SpatialField(lat, _apply_multiplier(
+        field_in.values, _heat_multiplier(lat, tau), lat))
 
 
 def step(state, slice_field, sigma, dt, _mult=None):
-    """One exponential-Euler step; raises on blow-up."""
+    """One exponential-Euler step of one field or of a (B, *grid) block of
+    fields; raises on blow-up, naming the first failing row of a block."""
     lat = state.field.lattice
     if _mult is None:
         _mult = _heat_multiplier(lat, dt)
     u = state.field.values
-    kicked = u + sigma(u) * slice_field.values
-    axes = tuple(range(lat.d))
-    out = np.fft.irfftn(np.fft.rfftn(kicked, axes=axes) * _mult,
-                        s=lat.shape, axes=axes)
-    if not np.all(np.isfinite(out)):
+    out = _apply_multiplier(u + sigma(u) * slice_field.values, _mult, lat)
+    if not np.isfinite(out).all():
+        rows_ok = np.isfinite(out.reshape(-1, lat.n_cells)).all(axis=1)
         raise InstabilityError(
             "blow-up/instability at step %d (t=%g); reduce dt or amplitude"
-            % (state.step_index + 1, (state.step_index + 1) * dt))
-    new = SpatialField.__new__(SpatialField)
-    new.lattice = lat
-    new.values = out
-    return FieldState(field=new, step_index=state.step_index + 1, dt=dt)
+            % (state.step_index + 1, (state.step_index + 1) * dt),
+            row=int(np.argmin(rows_ok)))
+    return FieldState(field=checked_field(lat, out),
+                      step_index=state.step_index + 1, dt=dt)
 
 
 def snap_to_grid(t, dt, what="time"):
@@ -218,45 +225,71 @@ def mean_field(init, t, lattice):
     return heat_semigroup(init.field_on(lattice), t)
 
 
-def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
-             replica_id, store_fields=False, mean_fields=None):
-    """Run one replica from 0 to T and record region averages.
+def block_size(lattice):
+    """Replicas stepped together: blocks of about 2**15 cells.
 
-    Each step draws a fresh slice from the stream keyed by
-    (seed, replica_id, step_index). mean_fields maps record time to the
-    precomputed deterministic mean (heat flow of the initial condition);
-    it is computed here when absent.
+    Every row of a block is computed as it would be alone, so no output
+    depends on this size.
     """
-    # local import: observables depends on noise only, no cycle at call time
-    from .observables import region_average
+    return max(1, 2 ** 15 // lattice.n_cells)
 
+
+def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
+             replica_ids, store_fields=False, mean_fields=None):
+    """Run replicas from 0 to T and record region averages; one Trajectory
+    per id, in the order given.
+
+    The ids are stepped in consecutive blocks of block_size(lattice), one
+    (B, *grid) array per block. Each step, row i draws its slice from the
+    stream keyed by (seed, replica id, step_index). mean_fields maps record
+    time to the precomputed deterministic mean (heat flow of the initial
+    condition); it is computed here when absent.
+    """
     lat = noise_cov.lattice
     check_margin(lat, regions, T)
     n_steps, record_steps = time_grid(T, dt, record_times)
     if mean_fields is None:
         mean_fields = {t: mean_field(init, t, lat) for t in record_times}
-
-    traj = Trajectory(replica_id=replica_id, record_times=sorted(record_times))
-    state = FieldState(field=init.field_on(lat), step_index=0, dt=dt)
+    cells = [reg.cells(lat) for reg in regions]
+    # in-region mean values per (record step, region); each region sum
+    # subtracts them and reduces one row at a time, as region_average does
+    means = {k: [mean_fields[t].values.reshape(-1)[idx] for idx in cells]
+             for k, t in record_steps.items()}
     mult = _heat_multiplier(lat, dt)
+    u0 = init.field_on(lat).values
+    B = block_size(lat)
 
-    def record(state):
+    trajs = [Trajectory(replica_id=rid, record_times=sorted(record_times))
+             for rid in replica_ids]
+
+    def record(block, state):
         t = record_steps[state.step_index]
-        for rid, reg in enumerate(regions):
-            traj.region_averages[(t, rid)] = region_average(
-                state.field, reg, mean_fields[t])
+        flat = state.field.values.reshape(len(block), -1)
+        for r, idx in enumerate(cells):
+            diff = flat[:, idx] - means[state.step_index][r]
+            for tr, row in zip(block, diff):
+                tr.region_averages[(t, r)] = float(lat.cell_volume * row.sum())
         if store_fields:
-            traj.fields_at_times[t] = state.field
+            for tr, values in zip(block, state.field.values):
+                tr.fields_at_times[t] = checked_field(lat, values)
 
-    if 0 in record_steps:
-        record(state)
-    for k in range(n_steps):
-        stream = stream_for(seed, replica_id, k)
-        sl = sample_slice(noise_cov, dt, stream)
-        try:
-            state = step(state, sl, sigma, dt, _mult=mult)
-        except InstabilityError as exc:
-            raise InstabilityError("replica %d: %s" % (replica_id, exc)) from exc
-        if state.step_index in record_steps:
-            record(state)
-    return traj
+    for lo in range(0, len(trajs), B):
+        block = trajs[lo:lo + B]
+        state = FieldState(field=checked_field(
+            lat, np.repeat(u0[np.newaxis], len(block), axis=0)),
+            step_index=0, dt=dt)
+        w = np.empty((len(block),) + lat.shape)
+        if 0 in record_steps:
+            record(block, state)
+        for k in range(n_steps):
+            for tr, row in zip(block, w):
+                stream_for(seed, tr.replica_id, k).standard_normal(out=row)
+            sl = sample_slice(noise_cov, dt, w)
+            try:
+                state = step(state, sl, sigma, dt, _mult=mult)
+            except InstabilityError as exc:
+                raise InstabilityError("replica %d: %s" % (
+                    block[exc.row].replica_id, exc)) from exc
+            if state.step_index in record_steps:
+                record(block, state)
+    return trajs

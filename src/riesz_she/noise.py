@@ -94,13 +94,13 @@ class SpatialField:
             raise ValueError("field contains non-finite values")
 
 
-def riesz_kernel_eval(x, spec):
-    """Kernel |x|^{-beta} at a nonzero point x."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    r = np.linalg.norm(x)
-    if r == 0.0:
-        raise ValueError("singular point; use cell_self_energy")
-    return float(r ** (-spec.beta))
+def checked_field(lattice, values):
+    """SpatialField around values already known finite, without copying or
+    re-checking them; values is one grid or a (B, *grid) block of grids."""
+    out = SpatialField.__new__(SpatialField)
+    out.lattice = lattice
+    out.values = values
+    return out
 
 
 # Unit-cell self interaction E|X-Y|^{-beta}, X,Y uniform on [0,1]^d, cached
@@ -185,15 +185,21 @@ def sample_slice(cov, dt, stream):
 
     Colors white noise through the real symmetric square root of the
     circulant, so the covariance is exact (up to the recorded clamping).
+    stream is a Generator to draw the white noise from, or white noise
+    already drawn: one grid, or a (B, *grid) block, colored with one FFT
+    pair over its last d axes.
     """
     if dt <= 0:
         raise ValueError("dt must be positive, got %r" % (dt,))
     lat = cov.lattice
-    w = stream.standard_normal(lat.shape)
-    axes = tuple(range(lat.d))
+    if isinstance(stream, np.ndarray):
+        w = stream
+    else:
+        w = stream.standard_normal(lat.shape)
+    axes = tuple(range(w.ndim - lat.d, w.ndim))
     spec_w = np.fft.rfftn(w, axes=axes)
     colored = np.fft.irfftn(spec_w * cov.sqrt_eig_half, s=lat.shape, axes=axes)
-    return SpatialField(lat, colored * np.sqrt(dt))
+    return checked_field(lat, colored * np.sqrt(dt))
 
 
 @dataclass
@@ -212,10 +218,6 @@ class CovarianceReport:
     rows: list
     n_slices: int
     dt: float
-
-    @property
-    def all_within_band(self):
-        return not any(r.flagged for r in self.rows)
 
 
 def covariance_diagnostic(slices, lags, spec, dt, band=(0.9, 1.1)):

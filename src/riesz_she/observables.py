@@ -49,6 +49,14 @@ class Region:
             inside = cond if inside is None else (inside & cond)
         return np.broadcast_to(inside, lattice.shape)
 
+    def cells(self, lattice):
+        """Flat C-order indices of the cells inside the region."""
+        idx = np.flatnonzero(self.mask(lattice))
+        if idx.size == 0:
+            raise ValueError("region contains no cell centers (R=%g < h/2=%g?)"
+                             % (self.radius, lattice.h / 2.0))
+        return idx
+
     def volume(self, d):
         if self.kind == "box":
             return (2.0 * self.radius) ** d
@@ -59,11 +67,9 @@ class Region:
 def region_average(field_in, region, mean_field_in):
     """h^d * sum over in-region cells of (field - mean field)."""
     lat = field_in.lattice
-    m = region.mask(lat)
-    if not m.any():
-        raise ValueError("region contains no cell centers (R=%g < h/2=%g?)"
-                         % (region.radius, lat.h / 2.0))
-    diff = field_in.values[m] - mean_field_in.values[m]
+    idx = region.cells(lat)
+    diff = (field_in.values.reshape(-1)[idx]
+            - mean_field_in.values.reshape(-1)[idx])
     return float(lat.cell_volume * diff.sum())
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .engine import DegenerateSigmaError, mean_field, simulate
+from .engine import DegenerateSigmaError, block_size, mean_field, simulate
 from .noise import build_embedding, covariance_diagnostic, sample_slice
 from .observables import LimitConstants, Region, constants_rows, estimate_eta, k_beta
 from .stats import (KS_FLOOR_1PCT, SampleSet, StatsReport,
@@ -53,26 +53,29 @@ class ResultSet:
 def _run_chunk(args):
     (cov, sigma, init, T, dt, record_times, regions, seed, replica_ids,
      keep_fields, mean_fields) = args
-    return [simulate(cov, sigma, init, T, dt, record_times, regions, seed,
-                     rid, keep_fields, mean_fields)
-            for rid in replica_ids]
+    return simulate(cov, sigma, init, T, dt, record_times, regions, seed,
+                    replica_ids, keep_fields, mean_fields)
 
 
 def run_replicas(cfg, cov, workers=1):
     """All replica trajectories, merged in replica_id order.
 
-    Fields are stored only where a pipeline reads them: the decay check,
-    and eta estimated for the limit constants when it is not exact.
+    Workers take whole blocks of block_size(lattice) replicas. Fields are
+    stored only where a pipeline reads them: the decay check, and eta
+    estimated for the limit constants when it is not exact.
     """
     keep_fields = cfg.kind == "decay" or (
-        cfg.kind in ("variance-limit", "fclt") and not _eta_exact(cfg))
+        cfg.kind in ("variance-limit", "fclt") and not cfg.eta_exact)
     mean_fields = {t: mean_field(cfg.init, t, cfg.lattice)
                    for t in cfg.record_times}
-    ids = list(range(cfg.n_replicas))
-    n_chunks = min(max(workers, 1), len(ids))
+    B = block_size(cfg.lattice)
+    blocks = [range(lo, min(lo + B, cfg.n_replicas))
+              for lo in range(0, cfg.n_replicas, B)]
+    n_chunks = min(max(workers, 1), len(blocks))
     args = [(cov, cfg.sigma, cfg.init, cfg.T, cfg.dt, cfg.record_times,
-             cfg.regions, cfg.seed, ids[i::n_chunks], keep_fields,
-             mean_fields)
+             cfg.regions, cfg.seed,
+             [rid for blk in blocks[i::n_chunks] for rid in blk],
+             keep_fields, mean_fields)
             for i in range(n_chunks)]
     if workers <= 1:
         parts = map(_run_chunk, args)
@@ -103,18 +106,11 @@ def _check_degenerate(cfg):
             "every G_R vanishes" % cfg.init.value)
 
 
-def _eta_exact(cfg):
-    """E u(t,.) = u0 for centered noise, so eta(s) = sigma(u0) exactly
-    when u0 is constant and sigma is affine."""
-    return cfg.init.kind == "constant" and \
-        cfg.sigma.kind in ("linear", "affine")
-
-
 def _limit_constants(cfg, rs):
     """Exact eta where available, else estimated from stored fields."""
     unit = Region(kind=cfg.region_kind, radius=1.0)
     k_val, _ = k_beta(unit, cfg.spec)
-    if _eta_exact(cfg):
+    if cfg.eta_exact:
         t_grid = sorted(set([0.0] + list(cfg.record_times)))
         eta0 = float(cfg.sigma(np.float64(cfg.init.value)))
         return LimitConstants(k_beta=k_val, t_grid=np.array(t_grid),

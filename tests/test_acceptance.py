@@ -214,14 +214,13 @@ def test_criterion_09_smoothed_kernel_bound():
 
 
 def test_criterion_10_degenerate_regime(tmp_path):
-    cfg = make_cfg(n=3)
+    cfg = make_cfg()
     cov = build_embedding(cfg.lattice, cfg.spec)
     sigma = NonlinearitySpec("affine", a=1.0, b=-1.0)  # sigma(x) = x - 1
     init = InitialCondition("constant", value=1.0)
     gs = []
-    for rid in range(3):
-        tr = simulate(cov, sigma, init, 0.25, DT, TIMES,
-                      [Region("ball", R) for R in R_LIST], SEED, rid)
+    for tr in simulate(cov, sigma, init, 0.25, DT, TIMES,
+                       [Region("ball", R) for R in R_LIST], SEED, range(3)):
         gs.extend(tr.region_averages.values())
     exact_zero = all(g == 0.0 for g in gs)
     cfgfile = tmp_path / "degen.cfg"
@@ -248,11 +247,11 @@ def test_criterion_11_bounded_start_comparison(clipped_run):
     lo_init = InitialCondition("constant", value=0.5)
     hi_init = InitialCondition("constant", value=2.0)
     ordered = True
-    for rid in range(5):
-        lo = simulate(cov, sigma, lo_init, 0.25, DT, TIMES, [],
-                      SEED, rid, store_fields=True)
-        hi = simulate(cov, sigma, hi_init, 0.25, DT, TIMES, [],
-                      SEED, rid, store_fields=True)
+    for lo, hi in zip(
+            simulate(cov, sigma, lo_init, 0.25, DT, TIMES, [], SEED,
+                     range(5), store_fields=True),
+            simulate(cov, sigma, hi_init, 0.25, DT, TIMES, [], SEED,
+                     range(5), store_fields=True)):
         for t in TIMES:
             ordered &= bool(np.all(lo.fields_at_times[t].values
                                    <= hi.fields_at_times[t].values + 1e-9))

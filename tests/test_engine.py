@@ -5,6 +5,7 @@ from riesz_she import (InitialCondition, Lattice, NonlinearitySpec, RieszSpec,
                        SpatialField, build_embedding, heat_semigroup,
                        mean_field, sample_slice, simulate)
 from riesz_she.engine import FieldState, InstabilityError, snap_to_grid, step
+from riesz_she.noise import checked_field
 from riesz_she.streams import stream_for
 
 
@@ -164,7 +165,7 @@ def test_simulate_t_zero_records_initial(small_setup):
     lat, _, cov = small_setup
     init = InitialCondition("constant", value=1.0)
     traj = simulate(cov, NonlinearitySpec("linear"), init, 0.0, 0.01, [0.0],
-                    [Region("ball", 1.0)], seed=5, replica_id=0)
+                    [Region("ball", 1.0)], seed=5, replica_ids=[0])[0]
     assert traj.region_averages[(0.0, 0)] == 0.0
 
 
@@ -173,10 +174,10 @@ def test_simulate_determinism(small_setup):
     lat, _, cov = small_setup
     init = InitialCondition("constant", value=1.0)
     kwargs = dict(T=0.1, dt=0.0125, record_times=[0.05, 0.1],
-                  regions=[Region("ball", 2.0)], seed=9, replica_id=3,
+                  regions=[Region("ball", 2.0)], seed=9, replica_ids=[3],
                   store_fields=True)
-    a = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
-    b = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
+    a, = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
+    b, = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
     assert a.region_averages == b.region_averages
     assert np.array_equal(a.fields_at_times[0.1].values,
                           b.fields_at_times[0.1].values)
@@ -188,7 +189,7 @@ def test_simulate_margin_violation(small_setup):
     init = InitialCondition("constant", value=1.0)
     with pytest.raises(ValueError, match="6\\*sqrt"):
         simulate(cov, NonlinearitySpec("linear"), init, 4.0, 0.01, [1.0],
-                 [Region("ball", 4.0)], seed=0, replica_id=0)
+                 [Region("ball", 4.0)], seed=0, replica_ids=[0])
 
 
 def test_simulate_off_grid_record_time(small_setup):
@@ -197,7 +198,7 @@ def test_simulate_off_grid_record_time(small_setup):
     init = InitialCondition("constant", value=1.0)
     with pytest.raises(ValueError, match="not a multiple"):
         simulate(cov, NonlinearitySpec("linear"), init, 0.1, 0.0125, [0.03],
-                 [Region("ball", 1.0)], seed=0, replica_id=0)
+                 [Region("ball", 1.0)], seed=0, replica_ids=[0])
 
 
 def test_weak_comparison_coupled_noise(small_setup):
@@ -252,3 +253,39 @@ def test_fourth_moment_stable_under_dt_halving(small_setup):
     m_fine = fourth_moment(0.0025, 40, 102)
     assert np.isfinite(m_coarse) and np.isfinite(m_fine)
     assert abs(m_fine - m_coarse) <= 0.10 * m_coarse
+
+
+def test_step_blowup_names_block_row(small_setup):
+    lat, _, _ = small_setup
+    noise = np.zeros((3,) + lat.shape)
+    noise[1, 5] = np.inf
+    state = FieldState(checked_field(lat, np.ones_like(noise)), 0, 0.01)
+    with pytest.raises(InstabilityError, match="reduce dt") as info:
+        step(state, checked_field(lat, noise), NonlinearitySpec("linear"),
+             0.01)
+    assert info.value.row == 1
+
+
+@pytest.mark.parametrize("d, n, L, n_ids", [(1, 64, 8.0, 5), (2, 64, 4.0, 10)],
+                         ids=["d1-one-block", "d2-partial-last-block"])
+def test_block_stepping_matches_one_id_blocks(d, n, L, n_ids):
+    from riesz_she import Region
+    from riesz_she.engine import block_size
+    lat = Lattice(d=d, n=n, L=L)
+    cov = build_embedding(lat, RieszSpec(d, 0.5))
+    assert n_ids > 1 and (n_ids > block_size(lat)) == (d == 2)
+    sigma = NonlinearitySpec("sine-affine", a=0.5, b=0.8, c=0.1)
+    init = InitialCondition("constant", value=1.0)
+    kwargs = dict(T=0.01, dt=0.002, record_times=[0.0, 0.004, 0.01],
+                  regions=[Region("ball", 1.0), Region("box", 0.5)],
+                  seed=2**63 + 3, store_fields=True)
+    ids = [7 * i + 1 for i in range(n_ids)]
+    block = simulate(cov, sigma, init, replica_ids=ids, **kwargs)
+    for rid, tr in zip(ids, block):
+        alone, = simulate(cov, sigma, init, replica_ids=[rid], **kwargs)
+        assert tr.replica_id == rid
+        assert tr.region_averages == alone.region_averages
+        assert tr.fields_at_times.keys() == alone.fields_at_times.keys()
+        for t, f in tr.fields_at_times.items():
+            assert f.values.shape == lat.shape
+            assert np.array_equal(f.values, alone.fields_at_times[t].values)

@@ -231,7 +231,53 @@ def test_worker_count_does_not_change_results(tmp_path):
             (tmp_path / "w2" / name).read_bytes()
 
 
+def test_worker_count_does_not_change_results_across_blocks(tmp_path):
+    # n=1024 cells give blocks of 32 replicas: 120 replicas make three
+    # whole blocks and a partial one, split over two workers
+    from riesz_she.engine import block_size
+    text = MINIMAL.replace("n_replicas = 200", "n_replicas = 120") \
+                  .replace("n = 32", "n = 1024")
+    cfg1, cfg2 = parse_config(text), parse_config(text)
+    assert block_size(cfg1.lattice) == 32
+    emit_results(run_experiment(cfg1, workers=1), tmp_path / "w1")
+    emit_results(run_experiment(cfg2, workers=2), tmp_path / "w2")
+    for name in ("samples.csv", "reports.csv", "reports.json"):
+        assert (tmp_path / "w1" / name).read_bytes() == \
+            (tmp_path / "w2" / name).read_bytes()
+
+
 SINE_AFFINE = "\n[sigma]\nkind = sine-affine\na = 1\nb = 0.5\n"
+
+
+@pytest.mark.parametrize("kind, sigma", [
+    ("clt", ""), ("decay", ""), ("noise-validate", ""),
+    ("variance-limit", SINE_AFFINE), ("fclt", SINE_AFFINE)])
+def test_too_few_replicas_is_a_config_error(kind, sigma, tmp_path,
+                                            monkeypatch):
+    text = MINIMAL.replace("kind = clt", "kind = " + kind) \
+                  .replace("seed = 7", "seed = 7\nrecord_times = 0.02, 0.04")
+    with pytest.raises(ConfigError, match="n_replicas >= 100, got 60"):
+        parse_config(text.replace("n_replicas = 200", "n_replicas = 60")
+                     + sigma)
+    parse_config(text.replace("n_replicas = 200", "n_replicas = 100") + sigma)
+
+    def no_run(cfg, workers=1):
+        raise AssertionError("simulated before the replica count was checked")
+    monkeypatch.setattr("riesz_she.cli.run_experiment", no_run)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(text + sigma)
+    assert cli_main([kind, "--config", str(cfgfile), "--replicas", "60"]) \
+        == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("kind", ["variance-limit", "fclt", "tightness"])
+def test_few_replicas_accepted_where_no_statistic_needs_them(kind):
+    # exact eta (linear sigma, constant start) is not estimated
+    parse_config(MINIMAL.replace("kind = clt", "kind = " + kind)
+                 .replace("n_replicas = 200", "n_replicas = 60")
+                 .replace("dt = 0.01", "dt = 0.002")
+                 .replace("seed = 7", "seed = 7\nrecord_times = "
+                          "0.002, 0.004, 0.008, 0.016, 0.04"))
 
 
 @pytest.mark.parametrize("kind, metric, sigma", [

@@ -182,9 +182,8 @@ def stored_field_run():
     sigma = NonlinearitySpec("linear")
     T, dt = 0.1, 0.0125
     times = [0.0, 0.05, 0.1]
-    trajs = [simulate(cov, sigma, init, T, dt, times,
-                      [Region("ball", 2.0)], seed=31, replica_id=r,
-                      store_fields=True) for r in range(150)]
+    trajs = simulate(cov, sigma, init, T, dt, times, [Region("ball", 2.0)],
+                     seed=31, replica_ids=range(150), store_fields=True)
     fields = {t: np.stack([tr.fields_at_times[t].values for tr in trajs])
               for t in times}
     return lat, sigma, fields, T
@@ -223,9 +222,8 @@ def test_translated_region_variance_invariance():
     T, dt = 0.1, 0.0125
     regions = [Region("ball", 2.0), Region("ball", 2.0, center=(3.0,))]
     g0, g1 = [], []
-    for r in range(600):
-        tr = simulate(cov, sigma, init, T, dt, [T], regions, seed=55,
-                      replica_id=r)
+    for tr in simulate(cov, sigma, init, T, dt, [T], regions, seed=55,
+                       replica_ids=range(600)):
         g0.append(tr.region_averages[(T, 0)])
         g1.append(tr.region_averages[(T, 1)])
     v0, v1 = np.var(g0, ddof=1), np.var(g1, ddof=1)
@@ -245,9 +243,8 @@ def test_box_vs_ball_variance_ratio_d2():
     R = 1.0
     regions = [Region("ball", R), Region("box", R)]
     gb, gx = [], []
-    for r in range(400):
-        tr = simulate(cov, sigma, init, T, dt, [T], regions, seed=91,
-                      replica_id=r)
+    for tr in simulate(cov, sigma, init, T, dt, [T], regions, seed=91,
+                       replica_ids=range(400)):
         gb.append(tr.region_averages[(T, 0)])
         gx.append(tr.region_averages[(T, 1)])
     k_ball, se_b = k_beta(Region("ball", 1.0), spec, method="monte-carlo",
