@@ -21,7 +21,9 @@ KINDS = ("noise-validate", "variance-limit", "clt", "fclt", "tightness",
 
 # Fewest replicas each kind's statistics accept: the KS distance, the decay
 # check, the noise covariance diagnostic and the eta estimate all need 100.
-# variance-limit and fclt estimate eta only when it is not exact.
+# variance-limit and fclt estimate eta only when it is not exact; with an
+# exact eta they still need a sample variance (2 replicas) and a full-rank
+# covariance over the record times (one replica more than there are times).
 MIN_REPLICAS = {"noise-validate": 100, "clt": 100, "decay": 100,
                 "variance-limit": 100, "fclt": 100}
 
@@ -256,7 +258,7 @@ def validate_config(cfg):
         raise ConfigError("lemma31 needs y_list")
     need = MIN_REPLICAS.get(cfg.kind, 1)
     if cfg.kind in ("variance-limit", "fclt") and cfg.eta_exact:
-        need = 1
+        need = 2 if cfg.kind == "variance-limit" else len(cfg.record_times) + 1
     if cfg.n_replicas < need:
         raise ConfigError("kind %r needs n_replicas >= %d, got %d"
                           % (cfg.kind, need, cfg.n_replicas))

@@ -154,8 +154,9 @@ def _heat_multiplier(lattice, tau):
 def _apply_multiplier(values, mult, lattice):
     """Spectral multiply over the last d axes of a grid or a block of grids."""
     axes = tuple(range(values.ndim - lattice.d, values.ndim))
-    return np.fft.irfftn(np.fft.rfftn(values, axes=axes) * mult,
-                         s=lattice.shape, axes=axes)
+    spec = np.fft.rfftn(values, axes=axes)
+    spec *= mult
+    return np.fft.irfftn(spec, s=lattice.shape, axes=axes)
 
 
 def heat_semigroup(field_in, tau):
@@ -176,7 +177,9 @@ def step(state, slice_field, sigma, dt, _mult=None):
     if _mult is None:
         _mult = _heat_multiplier(lat, dt)
     u = state.field.values
-    out = _apply_multiplier(u + sigma(u) * slice_field.values, _mult, lat)
+    kick = sigma(u) * slice_field.values
+    kick += u
+    out = _apply_multiplier(kick, _mult, lat)
     if not np.isfinite(out).all():
         rows_ok = np.isfinite(out.reshape(-1, lat.n_cells)).all(axis=1)
         raise InstabilityError(

@@ -198,8 +198,10 @@ def sample_slice(cov, dt, stream):
         w = stream.standard_normal(lat.shape)
     axes = tuple(range(w.ndim - lat.d, w.ndim))
     spec_w = np.fft.rfftn(w, axes=axes)
-    colored = np.fft.irfftn(spec_w * cov.sqrt_eig_half, s=lat.shape, axes=axes)
-    return checked_field(lat, colored * np.sqrt(dt))
+    spec_w *= cov.sqrt_eig_half
+    colored = np.fft.irfftn(spec_w, s=lat.shape, axes=axes)
+    colored *= np.sqrt(dt)
+    return checked_field(lat, colored)
 
 
 @dataclass

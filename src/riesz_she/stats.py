@@ -10,8 +10,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import linregress, norm
 
 from .engine import DegenerateSigmaError
 from .observables import limit_covariance, predicted_sigma
@@ -80,9 +78,29 @@ def ks_distance(standardized):
     n = len(x)
     if n < 100:
         raise ValueError("need >= 100 values for a distance estimate")
-    cdf = norm.cdf(x)
+    from scipy.special import ndtr  # the standard normal CDF
+    cdf = ndtr(x)
     i = np.arange(1, n + 1)
     return float(max((i / n - cdf).max(), (cdf - (i - 1) / n).max()))
+
+
+def _linfit(x, y):
+    """Least-squares line through (x, y): (slope, intercept, slope stderr).
+
+    The arithmetic of scipy.stats.linregress, so the floats are the same.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.max() == x.min():
+        raise ValueError("cannot fit a line if all x values are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    if len(x) == 2:
+        return slope, intercept, 0.0
+    # a constant y leaves ssym and ssxym exactly 0, and linregress r = nan
+    r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0) if ssym else np.nan
+    return slope, intercept, np.sqrt((1 - r ** 2) * ssym / ssxm / (len(x) - 2))
 
 
 def scaling_fit(pairs):
@@ -94,8 +112,8 @@ def scaling_fit(pairs):
     sig = np.array([p[1] for p in pairs], dtype=np.float64)
     if np.any(sig <= 0):
         raise ValueError("non-positive sigma_hat in scaling fit")
-    res = linregress(np.log(Rs), np.log(sig))
-    return float(res.slope), float(res.intercept), float(res.stderr)
+    slope, intercept, stderr = _linfit(np.log(Rs), np.log(sig))
+    return float(slope), float(intercept), float(stderr)
 
 
 def rate_fit(pairs, n_replicas):
@@ -121,8 +139,8 @@ def rate_fit(pairs, n_replicas):
     if len(usable) == 2:
         lr = np.polyfit(np.log(Rs), np.log(ds), 1)
         return float(lr[0]), float("nan"), excluded
-    res = linregress(np.log(Rs), np.log(ds))
-    return float(res.slope), float(res.stderr), excluded
+    slope, _, stderr = _linfit(np.log(Rs), np.log(ds))
+    return float(slope), float(stderr), excluded
 
 
 def functional_cov_check(samples_by_time, times, R, constants, d, beta,
@@ -189,13 +207,13 @@ def increment_moment_fit(samples_by_time, time_pairs, p=2,
     gaps = np.array(gaps)
     if gaps.max() / gaps.min() < 10.0 - 1e-9:
         raise ValueError("increment gaps must span a decade")
-    res = linregress(np.log(gaps), np.log(moments))
+    slope, _, stderr = _linfit(np.log(gaps), np.log(moments))
     target = min_slope_factor * (p / 2.0)
     return StatsReport(
         metric="increment_moment_slope",
         params={"p": p},
-        estimate=float(res.slope), target=target, tolerance=float("inf"),
-        passed=res.slope >= target, stderr=float(res.stderr),
+        estimate=float(slope), target=target, tolerance=float("inf"),
+        passed=slope >= target, stderr=float(stderr),
         note="one-sided: slope >= %.3g" % target)
 
 
@@ -258,12 +276,13 @@ def _gaussian_smoothed_kernel(y, s, beta, d, rng=None, n_mc=400_000):
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     ss = np.sqrt(s)
     if d == 1:
+        from scipy.integrate import quad
         y0 = float(y[0])
         f = lambda z: abs(y0 + ss * z) ** (-beta) * np.exp(-z * z / 2) \
             / np.sqrt(2 * np.pi)
         sing = -y0 / ss
         pts = [sing] if -30.0 < sing < 30.0 else None
-        val, _ = integrate.quad(f, -30.0, 30.0, points=pts, limit=400)
+        val, _ = quad(f, -30.0, 30.0, points=pts, limit=400)
         return float(val)
     if rng is None:
         rng = np.random.default_rng(0x31415)

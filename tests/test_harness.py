@@ -280,6 +280,32 @@ def test_few_replicas_accepted_where_no_statistic_needs_them(kind):
                           "0.002, 0.004, 0.008, 0.016, 0.04"))
 
 
+@pytest.mark.parametrize("kind, need", [("variance-limit", 2), ("fclt", 6)])
+def test_exact_eta_kinds_need_a_sample_covariance(kind, need, tmp_path,
+                                                  monkeypatch):
+    # exact eta: variance-limit needs a sample variance, fclt a full-rank
+    # covariance over its 5 record times
+    text = (MINIMAL.replace("kind = clt", "kind = " + kind)
+            .replace("dt = 0.01", "dt = 0.002")
+            .replace("seed = 7", "seed = 7\nrecord_times = "
+                     "0.008, 0.016, 0.024, 0.032, 0.04"))
+    with pytest.raises(ConfigError, match="n_replicas >= %d, got %d"
+                       % (need, need - 1)):
+        parse_config(text.replace("n_replicas = 200",
+                                  "n_replicas = %d" % (need - 1)))
+    rs = run_experiment(parse_config(
+        text.replace("n_replicas = 200", "n_replicas = %d" % need)))
+    assert rs.reports and all(np.isfinite(r.estimate) for r in rs.reports)
+
+    def no_run(cfg, workers=1):
+        raise AssertionError("simulated before the replica count was checked")
+    monkeypatch.setattr("riesz_she.cli.run_experiment", no_run)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(text)
+    assert cli_main([kind, "--config", str(cfgfile),
+                     "--replicas", str(need - 1)]) == EXIT_CONFIG
+
+
 @pytest.mark.parametrize("kind, metric, sigma", [
     ("variance-limit", "normalized_variance", ""),
     ("fclt", "fclt_correlation", ""),

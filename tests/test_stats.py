@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +10,7 @@ from riesz_she import (DegenerateSigmaError, Lattice, LimitConstants,
                        NonlinearitySpec, RieszSpec, build_embedding,
                        sample_slice)
 from riesz_she.stats import (KS_FLOOR_1PCT, SampleSet, StatsReport,
-                             correlation_decay_check, functional_cov_check,
+                             _linfit, correlation_decay_check, functional_cov_check,
                              increment_moment_fit, increment_r_scaling,
                              ks_distance, lemma31_check, rate_fit,
                              scaling_fit, standardize)
@@ -42,6 +47,17 @@ def test_ks_distance_calibration_large_sample():
     z = rng.standard_normal(100_000)
     # 0.00617 ~= 1.95 / sqrt(1e5): the 0.1% quantile of the null KS
     assert ks_distance(z) < 0.00617
+
+
+def test_ks_distance_same_floats_as_norm_cdf():
+    from scipy.stats import norm
+    rng = np.random.default_rng(20190307)
+    for n in (100, 257, 4000):
+        x = np.sort(rng.standard_normal(n))
+        cdf = norm.cdf(x)
+        i = np.arange(1, n + 1)
+        old = float(max((i / n - cdf).max(), (cdf - (i - 1) / n).max()))
+        assert ks_distance(x) == old
 
 
 def test_ks_distance_point_mass():
@@ -84,6 +100,16 @@ def test_scaling_fit_errors():
         scaling_fit([(2.0, 1.0), (4.0, 2.0)])
     with pytest.raises(ValueError, match="non-positive"):
         scaling_fit([(2.0, 1.0), (4.0, 0.0), (8.0, 2.0)])
+
+
+def test_linfit_same_floats_as_linregress():
+    from scipy.stats import linregress
+    rng = np.random.default_rng(7)
+    for n in [2, 3] * 50 + list(range(4, 13)) * 20:
+        x = np.log(np.sort(rng.uniform(0.5, 64.0, n)))
+        y = rng.normal(0.4 * x, rng.uniform(0.0, 0.3))
+        res = linregress(x, y)
+        assert _linfit(x, y) == (res.slope, res.intercept, res.stderr)
 
 
 def test_rate_fit_exact_and_floor():
@@ -226,3 +252,16 @@ def test_stats_report_as_row():
     assert row["params"] == "R=4.0;t=0.1"
     assert row["pass"] is False
     assert row["stderr"] == ""
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy loads only inside the functions that need it (KS distance,
+    # lemma 3.1 quadrature, ball constants in d >= 2)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import riesz_she.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
