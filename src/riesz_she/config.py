@@ -15,6 +15,7 @@ from .engine import (InitialCondition, NonlinearitySpec, check_margin,
                      time_grid)
 from .noise import Lattice, RieszSpec
 from .observables import Region
+from .stats import lag_distances
 
 KINDS = ("noise-validate", "variance-limit", "clt", "fclt", "tightness",
          "decay", "lemma31", "constants")
@@ -100,6 +101,20 @@ class ExperimentConfig:
             self.sigma.kind in ("linear", "affine")
 
     @property
+    def lag_cells(self):
+        """Lag offsets in cells along the first axis: the lags key, else for
+        decay about 12 log-spaced from 2 cells to L/4, for noise-validate
+        powers of two up to n/2."""
+        lags = self.lags
+        if lags is None and self.kind == "decay":
+            hi = int(self.lattice.L / 4.0 / self.lattice.h)
+            lags = sorted(set(int(round(v)) for v in np.geomspace(2, hi, 12)))
+        elif lags is None:
+            lags = [k for k in (0, 1, 2, 4, 8, 16, 32)
+                    if k <= self.lattice.n // 2]
+        return [(k,) + (0,) * (self.spec.d - 1) for k in lags]
+
+    @property
     def regions(self):
         return [Region(kind=self.region_kind, radius=R) for R in self.R_list]
 
@@ -178,29 +193,16 @@ def parse_config(text):
                           % (kind, ", ".join(KINDS)))
     d = _get(top, "d", int, required=True)
     beta = _get(top, "beta", float, required=True)
-    if not (0 < beta < min(d, 2)):
-        raise ConfigError("beta must be < min(d,2)=%g; got beta=%g"
-                          % (min(d, 2), beta))
-    spec = RieszSpec(d=d, beta=beta)
-
     n = _get(lat_sec, "n", int, required=True)
     L = _get(lat_sec, "L", float, required=True)
     try:
+        spec = RieszSpec(d=d, beta=beta)
         lattice = Lattice(d=d, n=n, L=L)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    sig_kind = sig_sec.get("kind", "linear")
-    try:
         sigma = NonlinearitySpec(
-            kind=sig_kind,
+            kind=sig_sec.get("kind", "linear"),
             a=_get(sig_sec, "a", float, default=1.0),
             b=_get(sig_sec, "b", float, default=0.0),
             c=_get(sig_sec, "c", float, default=0.0))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    try:
         init, init_params = _build_init(init_sec, lattice)
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -248,6 +250,8 @@ def validate_config(cfg):
         try:
             time_grid(cfg.T, cfg.dt, cfg.record_times)
             check_margin(cfg.lattice, cfg.regions, cfg.T)
+            if cfg.kind == "decay":
+                lag_distances(cfg.lag_cells, cfg.lattice)
         except ValueError as exc:
             raise ConfigError(str(exc))
     if cfg.kind == "fclt" and len(cfg.record_times) < 2:

@@ -137,9 +137,9 @@ class FieldState:
 @dataclass
 class Trajectory:
     replica_id: int
-    record_times: list
     region_averages: dict = field(default_factory=dict)  # (time, region_id) -> float
-    fields_at_times: dict = field(default_factory=dict)  # time -> SpatialField
+    reduced: dict = field(default_factory=dict)  # time -> reducer(field)
+    fields_at_times: dict = field(default_factory=dict)  # empty; perfbench reads it
 
 
 def _heat_multiplier(lattice, tau):
@@ -238,13 +238,15 @@ def block_size(lattice):
 
 
 def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
-             replica_ids, store_fields=False, mean_fields=None):
+             replica_ids, reducer=None, mean_fields=None):
     """Run replicas from 0 to T and record region averages; one Trajectory
     per id, in the order given.
 
     The ids are stepped in consecutive blocks of block_size(lattice), one
     (B, *grid) array per block. Each step, row i draws its slice from the
-    stream keyed by (seed, replica id, step_index). mean_fields maps record
+    stream keyed by (seed, replica id, step_index). At each record time,
+    reducer (a picklable function of one grid) maps each row to the numbers
+    a statistic needs, kept in Trajectory.reduced. mean_fields maps record
     time to the precomputed deterministic mean (heat flow of the initial
     condition); it is computed here when absent.
     """
@@ -262,8 +264,7 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
     u0 = init.field_on(lat).values
     B = block_size(lat)
 
-    trajs = [Trajectory(replica_id=rid, record_times=sorted(record_times))
-             for rid in replica_ids]
+    trajs = [Trajectory(replica_id=rid) for rid in replica_ids]
 
     def record(block, state):
         t = record_steps[state.step_index]
@@ -272,9 +273,9 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
             diff = flat[:, idx] - means[state.step_index][r]
             for tr, row in zip(block, diff):
                 tr.region_averages[(t, r)] = float(lat.cell_volume * row.sum())
-        if store_fields:
+        if reducer is not None:
             for tr, values in zip(block, state.field.values):
-                tr.fields_at_times[t] = checked_field(lat, values)
+                tr.reduced[t] = reducer(values)
 
     for lo in range(0, len(trajs), B):
         block = trajs[lo:lo + B]

@@ -218,35 +218,31 @@ class CovarianceLagRow:
 @dataclass
 class CovarianceReport:
     rows: list
-    n_slices: int
-    dt: float
 
 
 def covariance_diagnostic(slices, lags, spec, dt, band=(0.9, 1.1)):
-    """Empirical lag covariances of sampled slices vs dt * kernel."""
+    """Empirical lag covariances of sampled slices vs dt * kernel. slices
+    may be a generator: each is reduced to its lag products on arrival."""
     if not lags:
         raise ValueError("empty lag list")
-    arrs = [s.values if isinstance(s, SpatialField) else np.asarray(s)
-            for s in slices]
-    if len(arrs) < 100:
-        raise ValueError("need at least 100 slices, got %d" % len(arrs))
-    stack = np.stack(arrs)
-    lat = slices[0].lattice if isinstance(slices[0], SpatialField) else None
-    if lat is None:
-        raise ValueError("slices must be SpatialField instances")
+    lag_ts = [(lag,) if np.isscalar(lag) else tuple(lag) for lag in lags]
+    if any(len(lag_t) != spec.d for lag_t in lag_ts):
+        raise ValueError("lags %r have the wrong dimension" % (lags,))
+    products = []  # one mean lag product per (slice, lag)
+    for s in slices:
+        lat = s.lattice
+        products.append([(s.values * np.roll(s.values, lag_t, axis=tuple(
+            range(spec.d)))).mean() for lag_t in lag_ts])
+    if len(products) < 100:
+        raise ValueError("need at least 100 slices, got %d" % len(products))
     h = lat.h
     rows = []
-    for lag in lags:
-        lag_t = (lag,) if np.isscalar(lag) else tuple(lag)
-        if len(lag_t) != spec.d:
-            raise ValueError("lag %r has wrong dimension" % (lag_t,))
+    for lag_t, per_slice in zip(lag_ts, np.array(products).T.copy()):
         off = np.array([((k + lat.n // 2) % lat.n - lat.n // 2) * h
                         for k in lag_t])
         dist = float(np.linalg.norm(off))
-        shifted = np.roll(stack, shift=lag_t, axis=tuple(range(1, spec.d + 1)))
-        per_slice = (stack * shifted).mean(axis=tuple(range(1, spec.d + 1)))
         emp = float(per_slice.mean())
-        se = float(per_slice.std(ddof=1) / np.sqrt(len(arrs)))
+        se = float(per_slice.std(ddof=1) / np.sqrt(len(products)))
         if dist == 0.0:
             theo = dt * cell_self_energy(h, spec)
         else:
@@ -256,4 +252,4 @@ def covariance_diagnostic(slices, lags, spec, dt, band=(0.9, 1.1)):
             lag=lag_t, distance=dist, empirical=emp, theoretical=theo,
             ratio=ratio, stderr=se,
             flagged=not (band[0] <= ratio <= band[1])))
-    return CovarianceReport(rows=rows, n_slices=len(arrs), dt=dt)
+    return CovarianceReport(rows=rows)

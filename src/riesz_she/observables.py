@@ -133,12 +133,6 @@ class LimitConstants:
         if np.any(np.diff(self.t_grid) <= 0):
             raise ValueError("t grid must be strictly increasing")
 
-    @classmethod
-    def for_linear(cls, k_value, t_grid):
-        """Exact constants for sigma(x)=x with constant-one start: eta = 1."""
-        t_grid = np.asarray(t_grid, dtype=np.float64)
-        return cls(k_beta=k_value, t_grid=t_grid, eta=np.ones_like(t_grid))
-
     def eta_sq_integral(self, t):
         """Trapezoidal integral of eta^2 over [0, t]; t must be on the grid."""
         tg = self.t_grid
@@ -156,32 +150,23 @@ class LimitConstants:
         return float(np.add.reduce(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
 
 
-def estimate_eta(fields_by_time, sigma, lattice, collar):
-    """eta(s) from stored fields: mean of sigma(u(s,x)) over an interior
-    window and over replicas; stderr from replica-level means.
+def window_sigma_mean(values, sigma, window):
+    """Reducer: one field's mean of sigma(u) over window, flat cell indices."""
+    return sigma(values.reshape(-1)[window]).mean()
 
-    fields_by_time: {time: array of shape (n_replicas, *grid)}.
+
+def estimate_eta(means_by_time):
+    """eta(s): mean over replicas of window_sigma_mean, with its stderr.
+
+    means_by_time: {time: one window mean per replica}.
     """
-    grids = lattice.center_grids()
-    window = None
-    for g in grids:
-        cond = np.abs(g) <= lattice.L - collar
-        window = cond if window is None else (window & cond)
-    window = np.broadcast_to(window, lattice.shape)
-    if not window.any():
-        raise ValueError("interior window is empty; collar %g too wide"
-                         % (collar,))
-    times = sorted(fields_by_time)
-    eta, se = [], []
-    for t in times:
-        stack = np.asarray(fields_by_time[t])
-        if stack.shape[0] < 100:
-            raise ValueError("need >= 100 replicas for eta, got %d"
-                             % stack.shape[0])
-        per_rep = sigma(stack)[:, window].mean(axis=1)
-        eta.append(per_rep.mean())
-        se.append(per_rep.std(ddof=1) / np.sqrt(len(per_rep)))
-    return np.array(times), np.array(eta), np.array(se)
+    times = sorted(means_by_time)
+    per_rep = np.array([means_by_time[t] for t in times], dtype=np.float64)
+    n = per_rep.shape[1]
+    if n < 100:
+        raise ValueError("need >= 100 replicas for eta, got %d" % n)
+    return (np.array(times), per_rep.mean(axis=1),
+            per_rep.std(axis=1, ddof=1) / np.sqrt(n))
 
 
 def predicted_sigma(t, R, constants, d, beta):

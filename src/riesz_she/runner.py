@@ -6,6 +6,7 @@ completion order; merges are keyed by replica_id.
 """
 
 import csv
+import functools
 import json
 import os
 import time as _time
@@ -18,11 +19,13 @@ from . import __version__
 from .config import ExperimentConfig
 from .engine import DegenerateSigmaError, block_size, mean_field, simulate
 from .noise import build_embedding, covariance_diagnostic, sample_slice
-from .observables import LimitConstants, Region, constants_rows, estimate_eta, k_beta
+from .observables import (LimitConstants, Region, constants_rows, estimate_eta,
+                          k_beta, window_sigma_mean)
 from .stats import (KS_FLOOR_1PCT, SampleSet, StatsReport,
                     correlation_decay_check, functional_cov_check,
                     increment_moment_fit, increment_r_scaling, ks_distance,
-                    lemma31_check, rate_fit, scaling_fit, standardize)
+                    lemma31_check, rate_fit, scaling_fit, sigma_lag_means,
+                    standardize)
 from .streams import stream_for
 
 EXIT_PASS = 0
@@ -38,7 +41,7 @@ class ResultSet:
     reports: list = field(default_factory=list)
     samples: dict = field(default_factory=dict)   # R -> {t -> np.ndarray}
     constants: list = field(default_factory=list)
-    fields_by_time: dict = field(default_factory=dict)  # t -> (nrep, *grid)
+    reduced: dict = field(default_factory=dict)  # t -> (n_replicas, ...)
     wall_seconds: float = 0.0
 
     @property
@@ -52,20 +55,32 @@ class ResultSet:
 
 def _run_chunk(args):
     (cov, sigma, init, T, dt, record_times, regions, seed, replica_ids,
-     keep_fields, mean_fields) = args
+     reducer, mean_fields) = args
     return simulate(cov, sigma, init, T, dt, record_times, regions, seed,
-                    replica_ids, keep_fields, mean_fields)
+                    replica_ids, reducer, mean_fields)
+
+
+def _reducer(cfg):
+    """What the kind reads of each record-time field, or None; a partial,
+    so that it pickles to the workers."""
+    if cfg.kind == "decay":
+        return functools.partial(sigma_lag_means, sigma=cfg.sigma,
+                                 lag_cells=cfg.lag_cells)
+    if cfg.kind in ("variance-limit", "fclt") and not cfg.eta_exact:
+        # cells the torus wrap-around has not reached by time T
+        window = Region("box", cfg.lattice.L - 6.0 * np.sqrt(cfg.T))
+        return functools.partial(window_sigma_mean, sigma=cfg.sigma,
+                                 window=window.cells(cfg.lattice))
+    return None
 
 
 def run_replicas(cfg, cov, workers=1):
     """All replica trajectories, merged in replica_id order.
 
-    Workers take whole blocks of block_size(lattice) replicas. Fields are
-    stored only where a pipeline reads them: the decay check, and eta
-    estimated for the limit constants when it is not exact.
+    Workers take whole blocks of block_size(lattice) replicas and reduce
+    each record-time field as the kind needs (_reducer).
     """
-    keep_fields = cfg.kind == "decay" or (
-        cfg.kind in ("variance-limit", "fclt") and not cfg.eta_exact)
+    reducer = _reducer(cfg)
     mean_fields = {t: mean_field(cfg.init, t, cfg.lattice)
                    for t in cfg.record_times}
     B = block_size(cfg.lattice)
@@ -75,7 +90,7 @@ def run_replicas(cfg, cov, workers=1):
     args = [(cov, cfg.sigma, cfg.init, cfg.T, cfg.dt, cfg.record_times,
              cfg.regions, cfg.seed,
              [rid for blk in blocks[i::n_chunks] for rid in blk],
-             keep_fields, mean_fields)
+             reducer, mean_fields)
             for i in range(n_chunks)]
     if workers <= 1:
         parts = map(_run_chunk, args)
@@ -107,7 +122,7 @@ def _check_degenerate(cfg):
 
 
 def _limit_constants(cfg, rs):
-    """Exact eta where available, else estimated from stored fields."""
+    """Exact eta where available, else estimated from the window means."""
     unit = Region(kind=cfg.region_kind, radius=1.0)
     k_val, _ = k_beta(unit, cfg.spec)
     if cfg.eta_exact:
@@ -115,8 +130,7 @@ def _limit_constants(cfg, rs):
         eta0 = float(cfg.sigma(np.float64(cfg.init.value)))
         return LimitConstants(k_beta=k_val, t_grid=np.array(t_grid),
                               eta=np.full(len(t_grid), eta0))
-    times, eta, se = estimate_eta(rs.fields_by_time, cfg.sigma, cfg.lattice,
-                                  collar=6.0 * np.sqrt(cfg.T))
+    times, eta, se = estimate_eta(rs.reduced)
     if 0.0 not in times:
         eta0 = float(np.mean(cfg.sigma(cfg.init.field_on(cfg.lattice).values)))
         times = np.concatenate([[0.0], times])
@@ -129,13 +143,9 @@ def _limit_constants(cfg, rs):
 
 def _run_noise_validate(cfg, workers):
     cov = build_embedding(cfg.lattice, cfg.spec)
-    slices = [sample_slice(cov, cfg.dt, stream_for(cfg.seed, i, 0))
-              for i in range(cfg.n_replicas)]
-    lags = cfg.lags
-    if lags is None:
-        lags = [k for k in (0, 1, 2, 4, 8, 16, 32) if k <= cfg.lattice.n // 2]
-    lag_tuples = [(k,) + (0,) * (cfg.spec.d - 1) for k in lags]
-    rep = covariance_diagnostic(slices, lag_tuples, cfg.spec, cfg.dt)
+    slices = (sample_slice(cov, cfg.dt, stream_for(cfg.seed, i, 0))
+              for i in range(cfg.n_replicas))
+    rep = covariance_diagnostic(slices, cfg.lag_cells, cfg.spec, cfg.dt)
     rs = ResultSet(config=cfg)
     for row in rep.rows:
         rs.reports.append(StatsReport(
@@ -150,12 +160,9 @@ def _run_simulation_kind(cfg, workers):
     _check_degenerate(cfg)
     cov = build_embedding(cfg.lattice, cfg.spec)
     trajs = run_replicas(cfg, cov, workers=workers)
-    rs = ResultSet(config=cfg)
-    rs.samples = collect_samples(trajs, cfg)
-    for t in trajs[0].fields_at_times:
-        rs.fields_by_time[t] = np.stack(
-            [tr.fields_at_times[t].values for tr in trajs])
-    return rs
+    return ResultSet(config=cfg, samples=collect_samples(trajs, cfg),
+                     reduced={t: np.array([tr.reduced[t] for tr in trajs])
+                              for t in trajs[0].reduced})
 
 
 def _run_variance_limit(cfg, workers):
@@ -269,16 +276,8 @@ def _run_tightness(cfg, workers):
 
 def _run_decay(cfg, workers):
     rs = _run_simulation_kind(cfg, workers)
-    t = max(cfg.record_times)
-    lags = cfg.lags
-    if lags is None:
-        lo = 2
-        hi = int(cfg.lattice.L / 4.0 / cfg.lattice.h)
-        lags = sorted(set(int(round(v)) for v in
-                          np.geomspace(lo, hi, 12)))
-    lag_tuples = [(k,) + (0,) * (cfg.spec.d - 1) for k in lags]
     report, rows = correlation_decay_check(
-        rs.fields_by_time[t], cfg.sigma, lag_tuples, cfg.lattice,
+        rs.reduced[max(cfg.record_times)], cfg.lag_cells, cfg.lattice,
         cfg.spec.beta)
     rs.reports.append(report)
     return rs

@@ -230,28 +230,41 @@ def increment_r_scaling(samples_lo, samples_hi, time_pair, p=2):
     return m_hi / m_lo
 
 
-def correlation_decay_check(fields, sigma, lag_cells, lattice, beta,
-                            max_min_ratio=5.0):
-    """Envelope check: |Psi_hat(xi) - eta_hat^2| * |xi|^beta bounded in xi.
-
-    fields: (n_replicas, *grid) snapshots of u at one time. Psi_hat(xi) is
-    the mean of sigma(u(x)) sigma(u(x + xi)) over positions and replicas.
-    """
-    stack = np.asarray(fields, dtype=np.float64)
-    if stack.shape[0] < 100:
-        raise ValueError("need >= 100 replicas, got %d" % stack.shape[0])
-    su = sigma(stack)
-    eta_hat = float(su.mean())
-    space_axes = tuple(range(1, su.ndim))
-    rows = []
+def lag_distances(lag_cells, lattice):
+    """Length of each lag (in cells), which must lie in [2h, L/4]."""
+    dists = []
     for lag in lag_cells:
-        lag_t = (lag,) if np.isscalar(lag) else tuple(lag)
-        dist = float(np.linalg.norm(np.asarray(lag_t) * lattice.h))
+        dist = float(np.linalg.norm(np.asarray(lag) * lattice.h))
         if not (2 * lattice.h - 1e-12 <= dist <= lattice.L / 4.0 + 1e-12):
             raise ValueError("lag distance %g outside [2h, L/4] = [%g, %g]"
                              % (dist, 2 * lattice.h, lattice.L / 4.0))
-        shifted = np.roll(su, shift=lag_t, axis=space_axes)
-        psi = float((su * shifted).mean())
+        dists.append(dist)
+    return dists
+
+
+def sigma_lag_means(values, sigma, lag_cells):
+    """Reducer: for one field, the mean of sigma(u) and, per lag xi, the
+    mean of sigma(u(x)) sigma(u(x + xi)) over positions."""
+    su = sigma(values)
+    axes = tuple(range(su.ndim))
+    return np.array([su.mean()] + [(su * np.roll(su, lag, axis=axes)).mean()
+                                   for lag in lag_cells])
+
+
+def correlation_decay_check(lag_means, lag_cells, lattice, beta,
+                            max_min_ratio=5.0):
+    """Envelope check: |Psi_hat(xi) - eta_hat^2| * |xi|^beta bounded in xi.
+
+    lag_means: one sigma_lag_means row per replica. eta_hat and
+    Psi_hat(xi) are their means over replicas.
+    """
+    m = np.asarray(lag_means, dtype=np.float64)
+    if m.shape[0] < 100:
+        raise ValueError("need >= 100 replicas, got %d" % m.shape[0])
+    eta_hat = float(m[:, 0].mean())
+    rows = []
+    for j, dist in enumerate(lag_distances(lag_cells, lattice), 1):
+        psi = float(m[:, j].mean())
         rows.append((dist, psi, abs(psi - eta_hat ** 2) * dist ** beta))
     rows.sort()
     dists = np.array([r[0] for r in rows])

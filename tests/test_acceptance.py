@@ -165,7 +165,8 @@ def test_criterion_05_rate_direction(reference_run):
 
 def test_criterion_06_functional_clt(reference_run):
     cfg, samples, _ = reference_run
-    constants = LimitConstants.for_linear(K_BETA, [0.0] + TIMES)
+    constants = LimitConstants(k_beta=K_BETA, t_grid=[0.0] + TIMES,
+                               eta=np.ones(len(TIMES) + 1))
     reports = functional_cov_check(
         {t: samples[16.0][t] for t in (0.1, 0.2)}, [0.1, 0.2], 16.0,
         constants, d=1, beta=0.5)
@@ -249,12 +250,11 @@ def test_criterion_11_bounded_start_comparison(clipped_run):
     ordered = True
     for lo, hi in zip(
             simulate(cov, sigma, lo_init, 0.25, DT, TIMES, [], SEED,
-                     range(5), store_fields=True),
+                     range(5), reducer=np.copy),
             simulate(cov, sigma, hi_init, 0.25, DT, TIMES, [], SEED,
-                     range(5), store_fields=True)):
+                     range(5), reducer=np.copy)):
         for t in TIMES:
-            ordered &= bool(np.all(lo.fields_at_times[t].values
-                                   <= hi.fields_at_times[t].values + 1e-9))
+            ordered &= bool(np.all(lo.reduced[t] <= hi.reduced[t] + 1e-9))
     ok = abs(slope - 0.75) <= 0.05 and ks16 < 0.05 and ordered
     report(11, "bounded-start regime", ok,
            "slope %.4f; KS(R=16) %.4f vs 0.05; comparison %s"

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from riesz_she import (InitialCondition, Lattice, NonlinearitySpec, RieszSpec,
                        mean_field, sample_slice, simulate)
 from riesz_she.engine import FieldState, InstabilityError, snap_to_grid, step
 from riesz_she.noise import checked_field
+from riesz_she.observables import window_sigma_mean
+from riesz_she.stats import sigma_lag_means
 from riesz_she.streams import stream_for
 
 
@@ -175,12 +179,11 @@ def test_simulate_determinism(small_setup):
     init = InitialCondition("constant", value=1.0)
     kwargs = dict(T=0.1, dt=0.0125, record_times=[0.05, 0.1],
                   regions=[Region("ball", 2.0)], seed=9, replica_ids=[3],
-                  store_fields=True)
+                  reducer=np.copy)
     a, = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
     b, = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
     assert a.region_averages == b.region_averages
-    assert np.array_equal(a.fields_at_times[0.1].values,
-                          b.fields_at_times[0.1].values)
+    assert np.array_equal(a.reduced[0.1], b.reduced[0.1])
 
 
 def test_simulate_margin_violation(small_setup):
@@ -266,6 +269,12 @@ def test_step_blowup_names_block_row(small_setup):
     assert info.value.row == 1
 
 
+def _copy_and_reduce(values, sigma, lag_cells, window):
+    # the row itself plus what each pipeline reducer makes of it
+    return (values.copy(), sigma_lag_means(values, sigma, lag_cells),
+            window_sigma_mean(values, sigma, window))
+
+
 @pytest.mark.parametrize("d, n, L, n_ids", [(1, 64, 8.0, 5), (2, 64, 4.0, 10)],
                          ids=["d1-one-block", "d2-partial-last-block"])
 def test_block_stepping_matches_one_id_blocks(d, n, L, n_ids):
@@ -276,16 +285,23 @@ def test_block_stepping_matches_one_id_blocks(d, n, L, n_ids):
     assert n_ids > 1 and (n_ids > block_size(lat)) == (d == 2)
     sigma = NonlinearitySpec("sine-affine", a=0.5, b=0.8, c=0.1)
     init = InitialCondition("constant", value=1.0)
+    reducer = functools.partial(
+        _copy_and_reduce, sigma=sigma,
+        lag_cells=[(2,) + (0,) * (d - 1), (3,) * d],
+        window=Region("box", 0.5).cells(lat))
     kwargs = dict(T=0.01, dt=0.002, record_times=[0.0, 0.004, 0.01],
                   regions=[Region("ball", 1.0), Region("box", 0.5)],
-                  seed=2**63 + 3, store_fields=True)
+                  seed=2**63 + 3, reducer=reducer)
     ids = [7 * i + 1 for i in range(n_ids)]
     block = simulate(cov, sigma, init, replica_ids=ids, **kwargs)
     for rid, tr in zip(ids, block):
         alone, = simulate(cov, sigma, init, replica_ids=[rid], **kwargs)
         assert tr.replica_id == rid
         assert tr.region_averages == alone.region_averages
-        assert tr.fields_at_times.keys() == alone.fields_at_times.keys()
-        for t, f in tr.fields_at_times.items():
-            assert f.values.shape == lat.shape
-            assert np.array_equal(f.values, alone.fields_at_times[t].values)
+        assert tr.reduced.keys() == alone.reduced.keys() == {0.0, 0.004, 0.01}
+        for t, (f, lag_means, eta) in tr.reduced.items():
+            assert f.shape == lat.shape
+            assert np.array_equal(f, alone.reduced[t][0])
+            assert lag_means.shape == (3,)
+            assert np.array_equal(lag_means, alone.reduced[t][1])
+            assert eta == alone.reduced[t][2]

@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from riesz_she import DegenerateSigmaError
+from riesz_she import DegenerateSigmaError, build_embedding, simulate
 from riesz_she.cli import main as cli_main
 from riesz_she.config import ConfigError, load_config, parse_config
+from riesz_she.observables import estimate_eta
 from riesz_she.runner import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_PASS,
                               EXIT_STAT_FAIL, ResultSet, emit_results,
                               run_experiment)
-from riesz_she.stats import StatsReport
+from riesz_she.stats import StatsReport, correlation_decay_check
 
 MINIMAL = """
 kind = clt
@@ -51,6 +52,13 @@ def test_default_dt_snaps_to_divide_T():
 def test_config_rejects_bad_beta():
     with pytest.raises(ConfigError, match="beta"):
         parse_config(MINIMAL.replace("beta = 0.5", "beta = 1.5"))
+
+
+def test_config_rejects_bad_dimension():
+    # the kernel spec checks d before beta, so d = 0 is not reported as a
+    # beta bound
+    with pytest.raises(ConfigError, match="d must be a positive integer"):
+        parse_config(MINIMAL.replace("d = 1", "d = 0"))
 
 
 def test_config_rejects_margin_violation():
@@ -246,7 +254,95 @@ def test_worker_count_does_not_change_results_across_blocks(tmp_path):
             (tmp_path / "w2" / name).read_bytes()
 
 
+D2_DECAY = MINIMAL.replace("kind = clt", "kind = decay") \
+                  .replace("d = 1", "d = 2") \
+                  .replace("n_replicas = 200", "n_replicas = 100")
+
+
+def test_decay_worker_count_does_not_change_results_d2(tmp_path):
+    # n=32 in d=2 gives blocks of 32 replicas: 100 replicas make three whole
+    # blocks and a partial one, split over two workers
+    from riesz_she.engine import block_size
+    cfgfile = tmp_path / "d2.cfg"
+    cfgfile.write_text(D2_DECAY)
+    assert block_size(parse_config(D2_DECAY).lattice) == 32
+    for w in ("1", "2"):
+        assert cli_main(["decay", "--config", str(cfgfile), "--workers", w,
+                         "--out", str(tmp_path / ("w" + w))]) \
+            in (EXIT_PASS, EXIT_STAT_FAIL)
+    for name in ("samples.csv", "reports.csv", "reports.json"):
+        assert (tmp_path / "w1" / name).read_bytes() == \
+            (tmp_path / "w2" / name).read_bytes()
+
+
 SINE_AFFINE = "\n[sigma]\nkind = sine-affine\na = 1\nb = 0.5\n"
+
+
+def _field_stacks(cfg):
+    # whole fields per record time, as a reference for the reductions
+    trajs = simulate(build_embedding(cfg.lattice, cfg.spec), cfg.sigma,
+                     cfg.init, cfg.T, cfg.dt, cfg.record_times, cfg.regions,
+                     cfg.seed, range(cfg.n_replicas), reducer=np.copy)
+    return {t: np.stack([tr.reduced[t] for tr in trajs])
+            for t in cfg.record_times}
+
+
+def test_reduced_eta_and_decay_match_stacked_fields():
+    # eta: sigma(u) over the interior window, per replica, then over replicas
+    cfg = parse_config(MINIMAL.replace("kind = clt", "kind = variance-limit")
+                       .replace("n_replicas = 200", "n_replicas = 120")
+                       .replace("seed = 7", "seed = 7\nrecord_times = "
+                                "0.02, 0.04") + SINE_AFFINE)
+    times, eta, _ = estimate_eta(run_experiment(cfg).reduced)
+    lat = cfg.lattice
+    window = np.ones(lat.shape, dtype=bool)
+    for g in lat.center_grids():
+        window &= np.abs(g) <= lat.L - 6.0 * np.sqrt(cfg.T)
+    stacks = _field_stacks(cfg)
+    assert list(times) == cfg.record_times
+    for t, e in zip(times, eta):
+        ref = cfg.sigma(stacks[t])[:, window].mean(axis=1).mean()
+        assert e == pytest.approx(ref, rel=1e-12, abs=0)
+    # decay: eta_hat and Psi_hat over positions and replicas, in d = 2
+    cfg = parse_config(D2_DECAY + SINE_AFFINE)
+    rs = run_experiment(cfg)
+    lag_means = rs.reduced[cfg.T]
+    su = cfg.sigma(_field_stacks(cfg)[cfg.T])
+    eta_ref = su.mean()
+    assert lag_means[:, 0].mean() == pytest.approx(eta_ref, rel=1e-12, abs=0)
+    _, rows = correlation_decay_check(lag_means, cfg.lag_cells, cfg.lattice,
+                                      cfg.spec.beta)
+    dists = np.array([r[0] for r in rows])
+    env = []
+    for lag, (dist, psi, _) in zip(cfg.lag_cells, rows):
+        psi_ref = (su * np.roll(su, lag, axis=(1, 2))).mean()
+        assert psi == pytest.approx(psi_ref, rel=1e-12, abs=0)
+        env.append(abs(psi_ref - eta_ref ** 2) * dist ** cfg.spec.beta)
+    upper = np.array(env)[dists >= 0.5 * dists.max()]
+    assert 0 < upper.min() and len(rows) == 3
+    assert rs.reports[0].estimate == pytest.approx(upper.max() / upper.min(),
+                                                   rel=1e-9, abs=0)
+
+
+def test_decay_lags_out_of_range_is_a_config_error(tmp_path, monkeypatch):
+    # n = 64, L = 4: lags must lie in [2h, L/4] = [0.25, 1], that is
+    # 2 to 8 cells; a lattice of 8 cells has no default lag inside
+    text = MINIMAL.replace("n = 32", "n = 64") \
+                  .replace("n_replicas = 200", "n_replicas = 100")
+    decay = text.replace("kind = clt", "kind = decay")
+    for bad in (decay.replace("seed = 7", "seed = 7\nlags = 1, 2, 4"),
+                decay.replace("seed = 7", "seed = 7\nlags = 2, 9"),
+                decay.replace("n = 64", "n = 8")):
+        with pytest.raises(ConfigError, match=r"outside \[2h, L/4\]"):
+            parse_config(bad)
+    parse_config(decay.replace("seed = 7", "seed = 7\nlags = 2, 4, 8"))
+
+    def no_run(cfg, workers=1):
+        raise AssertionError("simulated before the lags were checked")
+    monkeypatch.setattr("riesz_she.cli.run_experiment", no_run)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(text.replace("seed = 7", "seed = 7\nlags = 1, 2, 4"))
+    assert cli_main(["decay", "--config", str(cfgfile)]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("kind, sigma", [
@@ -312,16 +408,27 @@ def test_exact_eta_kinds_need_a_sample_covariance(kind, need, tmp_path,
     ("variance-limit", "normalized_variance", SINE_AFFINE),
 ], ids=["variance-limit-normalized_variance", "fclt-fclt_correlation",
         "variance-limit-sine-affine"])
-def test_limit_constant_kinds_run_and_emit(kind, metric, sigma, tmp_path):
+def test_limit_constant_kinds_run_and_emit(kind, metric, sigma, tmp_path,
+                                           monkeypatch):
     # both kinds normalise by k * int_0^t eta^2, so they reach
     # LimitConstants.eta_sq_integral end to end; a nonlinear sigma makes
-    # the runner store fields to estimate eta
+    # the runner estimate eta from one window mean per replica and time
+    from riesz_she import runner
     cfg = parse_config(MINIMAL.replace("kind = clt", "kind = " + kind)
                        .replace("seed = 7",
                                 "seed = 7\nrecord_times = 0.02, 0.04")
                        + sigma)
+    real, trajs = runner.run_replicas, []
+
+    def spy(*args, **kwargs):
+        trajs.extend(real(*args, **kwargs))
+        return trajs
+    monkeypatch.setattr(runner, "run_replicas", spy)
     rs = run_experiment(cfg)
-    assert bool(rs.fields_by_time) == bool(sigma)
+    assert trajs and all(not tr.fields_at_times for tr in trajs)
+    assert all(np.size(v) == 1 for tr in trajs for v in tr.reduced.values())
+    eta_se = runner._limit_constants(cfg, rs).eta_se
+    assert bool(np.any(eta_se != 0)) == bool(sigma)
     reps = [r for r in rs.reports if r.metric == metric]
     assert reps and all(np.isfinite(r.estimate) and np.isfinite(r.target)
                         and r.target > 0 for r in reps)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from riesz_she import (DegenerateSigmaError, InitialCondition, Lattice,
                        SpatialField, build_embedding, estimate_eta, k_beta,
                        limit_covariance, predicted_sigma, region_average,
                        simulate)
+from riesz_she.observables import window_sigma_mean
 
 K_BETA_HALF = 2 ** 2.5 / 0.75  # d=1, beta=0.5 ball: 7.54247...
 
@@ -107,7 +110,8 @@ def test_limit_constants_validation():
 
 
 def test_predicted_sigma_linear_reference():
-    constants = LimitConstants.for_linear(K_BETA_HALF, [0.0, 0.125, 0.25])
+    constants = LimitConstants(k_beta=K_BETA_HALF, t_grid=[0.0, 0.125, 0.25],
+                               eta=np.ones(3))
     val = predicted_sigma(0.25, 16.0, constants, d=1, beta=0.5)
     assert val == pytest.approx(0.25 * K_BETA_HALF * 16 ** 1.5, rel=1e-12)
     assert val == pytest.approx(120.68, abs=0.01)
@@ -125,15 +129,17 @@ def test_predicted_sigma_degenerate():
 
 
 def test_limit_covariance_linear_case():
-    constants = LimitConstants.for_linear(K_BETA_HALF, [0.0, 0.1, 0.2])
+    constants = LimitConstants(k_beta=K_BETA_HALF, t_grid=[0.0, 0.1, 0.2],
+                               eta=np.ones(3))
     C = limit_covariance([0.1, 0.2], constants)
     assert C[0, 0] == pytest.approx(K_BETA_HALF * 0.1, rel=1e-12)
     assert C[0, 1] == pytest.approx(K_BETA_HALF * 0.1, rel=1e-12)
     corr = C[0, 1] / np.sqrt(C[0, 0] * C[1, 1])
     assert corr == pytest.approx(np.sqrt(0.5), rel=1e-12)
     # consistency with the variance prediction
-    var = predicted_sigma(0.2, 16.0, LimitConstants.for_linear(
-        K_BETA_HALF, [0.0, 0.1, 0.2]), d=1, beta=0.5)
+    var = predicted_sigma(0.2, 16.0, LimitConstants(
+        k_beta=K_BETA_HALF, t_grid=[0.0, 0.1, 0.2], eta=np.ones(3)),
+        d=1, beta=0.5)
     assert C[1, 1] == pytest.approx(var / 16 ** 1.5, rel=1e-12)
 
 
@@ -174,7 +180,7 @@ def test_eta_sq_integral_uneven_trapezoid():
 
 
 @pytest.fixture(scope="module")
-def stored_field_run():
+def window_mean_run():
     lat = Lattice(1, 64, 8.0)
     spec = RieszSpec(1, 0.5)
     cov = build_embedding(lat, spec)
@@ -182,35 +188,36 @@ def stored_field_run():
     sigma = NonlinearitySpec("linear")
     T, dt = 0.1, 0.0125
     times = [0.0, 0.05, 0.1]
+    window = Region("box", lat.L - 6 * np.sqrt(T)).cells(lat)
+    reducer = functools.partial(window_sigma_mean, sigma=sigma, window=window)
     trajs = simulate(cov, sigma, init, T, dt, times, [Region("ball", 2.0)],
-                     seed=31, replica_ids=range(150), store_fields=True)
-    fields = {t: np.stack([tr.fields_at_times[t].values for tr in trajs])
-              for t in times}
-    return lat, sigma, fields, T
+                     seed=31, replica_ids=range(150), reducer=reducer)
+    means = {t: np.array([tr.reduced[t] for tr in trajs]) for t in times}
+    return lat, window, means
 
 
-def test_estimate_eta_linear(stored_field_run):
-    lat, sigma, fields, T = stored_field_run
-    times, eta, se = estimate_eta(fields, sigma, lat,
-                                  collar=6 * np.sqrt(T))
+def test_estimate_eta_linear(window_mean_run):
+    _, _, means = window_mean_run
+    times, eta, se = estimate_eta(means)
     assert eta[0] == 1.0  # deterministic start: eta(0) = sigma(1) exactly
     for e, s in zip(eta[1:], se[1:]):
         assert abs(e - 1.0) < 3 * s + 1e-12
 
 
-def test_estimate_eta_degenerate(stored_field_run):
-    lat, _, fields, T = stored_field_run
+def test_estimate_eta_degenerate(window_mean_run):
+    lat, window, means = window_mean_run
     deg = NonlinearitySpec("affine", a=1.0, b=-1.0)
-    ones = {t: np.ones_like(v) for t, v in fields.items()}
-    times, eta, se = estimate_eta(ones, deg, lat, collar=6 * np.sqrt(T))
+    zero = window_sigma_mean(np.ones(lat.shape), deg, window)
+    times, eta, se = estimate_eta({t: np.full(len(v), zero)
+                                   for t, v in means.items()})
     assert np.all(eta == 0.0)
 
 
-def test_estimate_eta_needs_replicas(stored_field_run):
-    lat, sigma, fields, T = stored_field_run
-    small = {t: v[:50] for t, v in fields.items()}
+def test_estimate_eta_needs_replicas(window_mean_run):
+    _, _, means = window_mean_run
+    small = {t: v[:50] for t, v in means.items()}
     with pytest.raises(ValueError, match="100 replicas"):
-        estimate_eta(small, sigma, lat, collar=6 * np.sqrt(T))
+        estimate_eta(small)
 
 
 def test_translated_region_variance_invariance():

@@ -13,7 +13,7 @@ from riesz_she.stats import (KS_FLOOR_1PCT, SampleSet, StatsReport,
                              _linfit, correlation_decay_check, functional_cov_check,
                              increment_moment_fit, increment_r_scaling,
                              ks_distance, lemma31_check, rate_fit,
-                             scaling_fit, standardize)
+                             scaling_fit, sigma_lag_means, standardize)
 from riesz_she.streams import stream_for
 
 K_BETA_HALF = 2 ** 2.5 / 0.75
@@ -27,7 +27,8 @@ def test_standardize_empirical():
 
 
 def test_standardize_predicted():
-    constants = LimitConstants.for_linear(K_BETA_HALF, [0.0, 0.25])
+    constants = LimitConstants(k_beta=K_BETA_HALF, t_grid=[0.0, 0.25],
+                               eta=np.ones(2))
     var = 0.25 * K_BETA_HALF * 16 ** 1.5
     s = SampleSet(np.array([np.sqrt(var), -np.sqrt(var)] * 100), R=16.0, t=0.25)
     z = standardize(s, "predicted", constants, d=1, beta=0.5)
@@ -164,7 +165,8 @@ def test_increment_r_scaling_ratio():
 
 def test_functional_cov_check_synthetic():
     times = [0.1, 0.2]
-    constants = LimitConstants.for_linear(K_BETA_HALF, [0.0, 0.1, 0.2])
+    constants = LimitConstants(k_beta=K_BETA_HALF, t_grid=[0.0, 0.1, 0.2],
+                               eta=np.ones(3))
     from riesz_she import limit_covariance
     C = limit_covariance(times, constants)
     rng = np.random.default_rng(4)
@@ -179,7 +181,8 @@ def test_functional_cov_check_synthetic():
 
 def test_functional_cov_check_detects_mismatch():
     times = [0.1, 0.2]
-    constants = LimitConstants.for_linear(K_BETA_HALF, [0.0, 0.1, 0.2])
+    constants = LimitConstants(k_beta=K_BETA_HALF, t_grid=[0.0, 0.1, 0.2],
+                               eta=np.ones(3))
     rng = np.random.default_rng(5)
     samples = {t: rng.standard_normal(20_000) for t in times}  # independent
     reports = functional_cov_check(samples, times, R=1.0,
@@ -194,32 +197,32 @@ def test_correlation_decay_on_noise_slices():
     lat = Lattice(1, 128, 16.0)
     spec = RieszSpec(1, 0.5)
     cov = build_embedding(lat, spec)
-    fields = np.stack([sample_slice(cov, 1.0, stream_for(17, i, 0)).values
-                       for i in range(2000)])
-    rep, rows = correlation_decay_check(fields, NonlinearitySpec("linear"),
-                                        [4, 6, 8, 12, 16], lat, spec.beta)
+    lags = [4, 6, 8, 12, 16]
+    lag_means = [sigma_lag_means(sample_slice(cov, 1.0, stream_for(17, i, 0))
+                                 .values, NonlinearitySpec("linear"), lags)
+                 for i in range(2000)]
+    rep, rows = correlation_decay_check(lag_means, lags, lat, spec.beta)
     assert rep.passed
     assert rep.estimate < 1.5
 
 
 def test_correlation_decay_degenerate_sigma():
     lat = Lattice(1, 64, 8.0)
-    fields = np.ones((200, 64))
     deg = NonlinearitySpec("affine", a=1.0, b=-1.0)
-    rep, rows = correlation_decay_check(fields, deg, [2, 4, 8], lat, 0.5)
+    lag_means = [sigma_lag_means(np.ones(64), deg, [2, 4, 8])] * 200
+    rep, rows = correlation_decay_check(lag_means, [2, 4, 8], lat, 0.5)
     assert rep.passed and rep.estimate == 1.0
 
 
 def test_correlation_decay_lag_window():
     lat = Lattice(1, 64, 8.0)  # h = 0.25, window [0.5, 2.0]
-    fields = np.ones((200, 64))
-    sig = NonlinearitySpec("linear")
+    lag_means = np.ones((200, 2))  # eta_hat and one lag product per replica
     with pytest.raises(ValueError, match="outside"):
-        correlation_decay_check(fields, sig, [1], lat, 0.5)  # dist 0.25 < 2h
+        correlation_decay_check(lag_means, [1], lat, 0.5)  # dist 0.25 < 2h
     with pytest.raises(ValueError, match="outside"):
-        correlation_decay_check(fields, sig, [16], lat, 0.5)  # dist 4 > L/4
+        correlation_decay_check(lag_means, [16], lat, 0.5)  # dist 4 > L/4
     with pytest.raises(ValueError, match="100 replicas"):
-        correlation_decay_check(fields[:20], sig, [8], lat, 0.5)
+        correlation_decay_check(lag_means[:20], [8], lat, 0.5)
 
 
 def test_lemma31_frozen_reference():
