@@ -40,32 +40,11 @@ class NonlinearitySpec:
     a: float = 1.0
     b: float = 0.0
     c: float = 0.0
-    lipschitz_bound: float = None
 
     def __post_init__(self):
         if self.kind not in _SIGMA_KINDS:
             raise ValueError("unknown sigma kind %r (choose from %s)"
                              % (self.kind, ", ".join(_SIGMA_KINDS)))
-        if self.lipschitz_bound is None:
-            object.__setattr__(self, "lipschitz_bound", self._default_lipschitz())
-        self._check_lipschitz()
-
-    def _default_lipschitz(self):
-        if self.kind == "linear" or self.kind == "clipped-linear":
-            return 1.0
-        if self.kind == "affine":
-            return abs(self.a)
-        return abs(self.a) + abs(self.b)
-
-    def _check_lipschitz(self):
-        # numerical audit of the declared constant on a 1e4-point grid
-        x = np.linspace(-10.0, 10.0, 10_000)
-        y = self(x)
-        slopes = np.abs(np.diff(y) / np.diff(x))
-        if slopes.max() > self.lipschitz_bound * (1.0 + 1e-6):
-            raise ValueError(
-                "declared Lipschitz bound %g violated: observed slope %g"
-                % (self.lipschitz_bound, slopes.max()))
 
     def __call__(self, v):
         if self.kind == "linear":
@@ -76,14 +55,6 @@ class NonlinearitySpec:
             v = np.asarray(v)
             return self.a * np.sin(v) + self.b * v + self.c
         return np.maximum(np.asarray(v), 0.0)
-
-    @property
-    def sigma_at_one(self):
-        return float(self(np.float64(1.0)))
-
-    @property
-    def degenerate_at_one(self):
-        return abs(self.sigma_at_one) < 1e-14
 
 
 @dataclass(frozen=True)
@@ -138,7 +109,7 @@ class FieldState:
 class Trajectory:
     replica_id: int
     region_averages: dict = field(default_factory=dict)  # (time, region_id) -> float
-    reduced: dict = field(default_factory=dict)  # time -> reducer(field)
+    reduced: dict = field(default_factory=dict)  # time -> reducers[time](field)
     fields_at_times: dict = field(default_factory=dict)  # empty; perfbench reads it
 
 
@@ -238,20 +209,21 @@ def block_size(lattice):
 
 
 def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
-             replica_ids, reducer=None, mean_fields=None):
+             replica_ids, reducers=None, mean_fields=None):
     """Run replicas from 0 to T and record region averages; one Trajectory
     per id, in the order given.
 
     The ids are stepped in consecutive blocks of block_size(lattice), one
     (B, *grid) array per block. Each step, row i draws its slice from the
-    stream keyed by (seed, replica id, step_index). At each record time,
-    reducer (a picklable function of one grid) maps each row to the numbers
-    a statistic needs, kept in Trajectory.reduced. mean_fields maps record
-    time to the precomputed deterministic mean (heat flow of the initial
-    condition); it is computed here when absent.
+    stream keyed by (seed, replica id, step_index). reducers maps a record
+    time to a picklable function of one grid, which then maps each row to
+    the numbers a statistic needs, kept in Trajectory.reduced. mean_fields
+    maps record time to the precomputed deterministic mean (heat flow of
+    the initial condition); it is computed here when absent.
     """
     lat = noise_cov.lattice
     check_margin(lat, regions, T)
+    reducers = reducers or {}
     n_steps, record_steps = time_grid(T, dt, record_times)
     if mean_fields is None:
         mean_fields = {t: mean_field(init, t, lat) for t in record_times}
@@ -273,6 +245,7 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
             diff = flat[:, idx] - means[state.step_index][r]
             for tr, row in zip(block, diff):
                 tr.region_averages[(t, r)] = float(lat.cell_volume * row.sum())
+        reducer = reducers.get(t)
         if reducer is not None:
             for tr, values in zip(block, state.field.values):
                 tr.reduced[t] = reducer(values)

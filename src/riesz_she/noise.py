@@ -103,42 +103,54 @@ def checked_field(lattice, values):
     return out
 
 
-# Unit-cell self interaction E|X-Y|^{-beta}, X,Y uniform on [0,1]^d, cached
-# per (d, beta). d=1 has a closed form; d>=2 uses seeded MC quadrature.
-_UNIT_SELF_CACHE = {}
+# Gauss-Legendre nodes per axis of cube_pair_integral; doubling them moves
+# d = 2 and 3 by less than 1e-13
+_NODES = 24
 
 
-def _unit_cell_self_energy(spec, n_pairs=1_000_000):
-    key = (spec.d, spec.beta, n_pairs)
-    if key not in _UNIT_SELF_CACHE:
-        if spec.d == 1:
-            b = spec.beta
-            _UNIT_SELF_CACHE[key] = (2.0 / ((1.0 - b) * (2.0 - b)), 0.0)
-        else:
-            rng = np.random.default_rng(0x5E1F)
-            x = rng.random((n_pairs, spec.d))
-            y = rng.random((n_pairs, spec.d))
-            v = np.linalg.norm(x - y, axis=1) ** (-spec.beta)
-            _UNIT_SELF_CACHE[key] = (float(v.mean()),
-                                     float(v.std(ddof=1) / np.sqrt(n_pairs)))
-    return _UNIT_SELF_CACHE[key]
+def cube_pair_integral(d, beta):
+    """C_d(beta) = int int_{[0,1]^d x [0,1]^d} |x-y|^{-beta} dx dy, beta < d.
+
+    The difference of two uniform points has density prod(1 - |delta_i|).
+    Folded onto [0,1]^d (factor 2^d) and split into d pyramids by the largest
+    coordinate s (factor d), delta = s * (1, y) with y in [0,1]^{d-1}. The
+    s-integral of s^{d-1-beta} (1-s) prod(1 - s y_i) is exact from the
+    polynomial's coefficients c_k: sum_k c_k / (d - beta + k). What is left,
+    (1 + |y|^2)^{-beta/2} times that sum, is smooth on [0,1]^{d-1} and is
+    integrated with a tensor Gauss-Legendre rule of _NODES points per axis,
+    _NODES^{d-1} points in all: under 1 ms for d <= 3, about 0.1 s at d = 5.
+    """
+    nodes = _NODES
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = (x + 1.0) / 2.0, w / 2.0  # the rule on [0, 1]
+    idx = np.indices((nodes,) * (d - 1)).reshape(d - 1, nodes ** (d - 1))
+    y, weight = x[idx], w[idx].prod(axis=0)  # y: (d-1, points)
+    coef = np.zeros((d + 1, y.shape[1]))  # coefficients of s^k, k = 0..d
+    coef[0], coef[1] = 1.0, -1.0          # (1 - s)
+    for yi in y:                          # times (1 - s y_i)
+        coef[1:] -= yi * coef[:-1]
+    s_int = (coef / (d - beta + np.arange(d + 1))[:, None]).sum(axis=0)
+    radial = (1.0 + (y ** 2).sum(axis=0)) ** (-beta / 2.0)
+    return float(2.0 ** d * d * (weight * radial * s_int).sum())
 
 
-def cell_self_energy(h, spec, return_stderr=False, n_pairs=1_000_000):
+def cell_self_energy(h, spec):
     """Cell-averaged kernel diagonal (1/h^{2d}) int int_{cell^2} |x-y|^{-beta}.
 
     Finite because beta < d. Scales as h^{-beta} by homogeneity, so only the
-    unit-cell constant is ever integrated.
+    unit-cell constant C_d(beta) is integrated: in closed form in d=1,
+    by cube_pair_integral otherwise.
     """
     if h <= 0:
         raise ValueError("cell size h must be positive, got %r" % (h,))
     if spec.beta >= spec.d:
         raise ValueError("self energy diverges for beta >= d")
-    unit, unit_se = _unit_cell_self_energy(spec, n_pairs)
-    scale = h ** (-spec.beta)
-    if return_stderr:
-        return unit * scale, unit_se * scale
-    return unit * scale
+    b = spec.beta
+    if spec.d == 1:
+        unit = 2.0 / ((1.0 - b) * (2.0 - b))
+    else:
+        unit = cube_pair_integral(spec.d, b)
+    return unit * h ** (-b)
 
 
 @dataclass(frozen=True)

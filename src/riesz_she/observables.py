@@ -6,11 +6,13 @@ the kernel double integral over the unit region and eta(s) is the
 (spatially constant) mean of sigma(u(s, .)).
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import DegenerateSigmaError
+from .noise import cube_pair_integral
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,6 @@ class Region:
                              % (self.radius, lattice.h / 2.0))
         return idx
 
-    def volume(self, d):
-        if self.kind == "box":
-            return (2.0 * self.radius) ** d
-        from scipy.special import gamma
-        return np.pi ** (d / 2.0) / gamma(d / 2.0 + 1.0) * self.radius ** d
-
 
 def region_average(field_in, region, mean_field_in):
     """h^d * sum over in-region cells of (field - mean field)."""
@@ -73,42 +69,39 @@ def region_average(field_in, region, mean_field_in):
     return float(lat.cell_volume * diff.sum())
 
 
-def _uniform_in_region(region, d, n, rng):
-    c = region.resolved_center(d)
-    if region.kind == "box":
-        return c + region.radius * (2.0 * rng.random((n, d)) - 1.0)
-    dirs = rng.standard_normal((n, d))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = region.radius * rng.random(n) ** (1.0 / d)
-    return c + dirs * radii[:, None]
+def ball_pair_integral(d, beta):
+    """int int_{B_1 x B_1} |x-y|^{-beta} over the unit d-ball, beta < d.
 
-
-def k_beta(region_unit, spec, method="auto", n_pairs=1_000_000, rng=None):
-    """Kernel double integral over the unit region, with standard error.
-
-    Closed form in d=1 (ball and box coincide with [-1,1]):
-    2^{3-beta} / ((1-beta)(2-beta)). Otherwise uniform-pair Monte Carlo.
+    vol^2 int_0^2 r^{-beta} f_d(r) dr with the pair-distance density
+    f_d(r) = d r^{d-1} I_{1-r^2/4}((d+1)/2, 1/2), integrated by parts:
+    vol^2 d 2^m B((m+1)/2, (d+1)/2) / (m B((d+1)/2, 1/2)), m = d - beta.
     """
-    if spec.beta >= spec.d:
+    def log_beta(a, b):
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    m = d - beta
+    log_vol = d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
+    return math.exp(2.0 * log_vol + math.log(d / m) + m * math.log(2.0)
+                    + log_beta((m + 1.0) / 2.0, (d + 1.0) / 2.0)
+                    - log_beta((d + 1.0) / 2.0, 0.5))
+
+
+def k_beta(region_unit, spec):
+    """Kernel double integral over the region, scaled as R^{2d-beta}.
+
+    In d=1 ball and box coincide with [-1,1]: 2^{3-beta}/((1-beta)(2-beta)).
+    Otherwise the ball's closed form (ball_pair_integral), or for the box
+    [-1,1]^d, 2^{2d-beta} times the unit-cube integral (cube_pair_integral).
+    """
+    d, b = spec.d, spec.beta
+    if b >= d:
         raise ValueError("k diverges for beta >= d")
-    if method == "auto":
-        method = "closed-form" if spec.d == 1 else "monte-carlo"
-    if method == "closed-form":
-        if spec.d != 1:
-            raise ValueError("closed form only available in d=1")
-        b = spec.beta
+    if d == 1:
         base = 2.0 ** (3.0 - b) / ((1.0 - b) * (2.0 - b))
-        return base * region_unit.radius ** (2 - b), 0.0
-    if method != "monte-carlo":
-        raise ValueError("unknown method %r" % (method,))
-    if rng is None:
-        rng = np.random.default_rng(0xC0FFEE)
-    x = _uniform_in_region(region_unit, spec.d, n_pairs, rng)
-    y = _uniform_in_region(region_unit, spec.d, n_pairs, rng)
-    v = np.linalg.norm(x - y, axis=1) ** (-spec.beta)
-    vol = region_unit.volume(spec.d)
-    return (float(vol * vol * v.mean()),
-            float(vol * vol * v.std(ddof=1) / np.sqrt(n_pairs)))
+    elif region_unit.kind == "ball":
+        base = ball_pair_integral(d, b)
+    else:
+        base = 2.0 ** (2 * d - b) * cube_pair_integral(d, b)
+    return base * region_unit.radius ** (2 * d - b)
 
 
 @dataclass
@@ -192,13 +185,10 @@ def limit_covariance(times, constants):
     return C
 
 
-def constants_rows(spec, region_kind="ball", methods=("closed-form", "monte-carlo")):
-    """CSV-ready rows (name, d, beta, region_kind, value, stderr, method)."""
-    rows = []
-    unit = Region(kind=region_kind, radius=1.0)
-    for method in methods:
-        if method == "closed-form" and spec.d != 1:
-            continue
-        val, se = k_beta(unit, spec, method=method)
-        rows.append(("k_beta", spec.d, spec.beta, region_kind, val, se, method))
-    return rows
+def constants_rows(spec, region_kind="ball"):
+    """CSV-ready rows (name, d, beta, region_kind, value, stderr, method):
+    the one k_beta row, exact up to rounding, so its stderr is 0."""
+    method = ("quadrature" if region_kind == "box" and spec.d >= 2
+              else "closed-form")
+    val = k_beta(Region(kind=region_kind, radius=1.0), spec)
+    return [("k_beta", spec.d, spec.beta, region_kind, val, 0.0, method)]

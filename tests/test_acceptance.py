@@ -250,9 +250,9 @@ def test_criterion_11_bounded_start_comparison(clipped_run):
     ordered = True
     for lo, hi in zip(
             simulate(cov, sigma, lo_init, 0.25, DT, TIMES, [], SEED,
-                     range(5), reducer=np.copy),
+                     range(5), reducers={t: np.copy for t in TIMES}),
             simulate(cov, sigma, hi_init, 0.25, DT, TIMES, [], SEED,
-                     range(5), reducer=np.copy)):
+                     range(5), reducers={t: np.copy for t in TIMES})):
         for t in TIMES:
             ordered &= bool(np.all(lo.reduced[t] <= hi.reduced[t] + 1e-9))
     ok = abs(slope - 0.75) <= 0.05 and ks16 < 0.05 and ordered

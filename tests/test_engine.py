@@ -31,18 +31,17 @@ def test_sigma_kinds():
 
 
 def test_sigma_lipschitz_audit():
-    with pytest.raises(ValueError, match="Lipschitz"):
-        NonlinearitySpec("linear", lipschitz_bound=0.5)
-    # default bounds are valid
-    NonlinearitySpec("sine-affine", a=2.0, b=1.0, c=0.0)
-    with pytest.raises(ValueError, match="Lipschitz"):
-        NonlinearitySpec("sine-affine", a=2.0, b=1.0, lipschitz_bound=2.0)
+    # sine-affine is Lipschitz with constant |a| + |b|, attained at x = 0
+    sigma = NonlinearitySpec("sine-affine", a=2.0, b=1.0, c=0.0)
+    x = np.linspace(-10.0, 10.0, 10_000)
+    slopes = np.abs(np.diff(sigma(x)) / np.diff(x))
+    assert slopes.max() <= 3.0
+    assert slopes.max() == pytest.approx(3.0, rel=1e-4)
 
 
 def test_sigma_degenerate_flag():
-    assert NonlinearitySpec("affine", a=1, b=-1).degenerate_at_one
-    assert not NonlinearitySpec("linear").degenerate_at_one
-    assert NonlinearitySpec("affine", a=1, b=-1).sigma_at_one == 0.0
+    assert NonlinearitySpec("affine", a=1, b=-1)(np.float64(1.0)) == 0.0
+    assert NonlinearitySpec("linear")(np.float64(1.0)) != 0.0
 
 
 def test_sigma_unknown_kind():
@@ -179,7 +178,7 @@ def test_simulate_determinism(small_setup):
     init = InitialCondition("constant", value=1.0)
     kwargs = dict(T=0.1, dt=0.0125, record_times=[0.05, 0.1],
                   regions=[Region("ball", 2.0)], seed=9, replica_ids=[3],
-                  reducer=np.copy)
+                  reducers={0.05: np.copy, 0.1: np.copy})
     a, = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
     b, = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
     assert a.region_averages == b.region_averages
@@ -289,9 +288,10 @@ def test_block_stepping_matches_one_id_blocks(d, n, L, n_ids):
         _copy_and_reduce, sigma=sigma,
         lag_cells=[(2,) + (0,) * (d - 1), (3,) * d],
         window=Region("box", 0.5).cells(lat))
-    kwargs = dict(T=0.01, dt=0.002, record_times=[0.0, 0.004, 0.01],
+    times = [0.0, 0.004, 0.01]
+    kwargs = dict(T=0.01, dt=0.002, record_times=times,
                   regions=[Region("ball", 1.0), Region("box", 0.5)],
-                  seed=2**63 + 3, reducer=reducer)
+                  seed=2**63 + 3, reducers={t: reducer for t in times})
     ids = [7 * i + 1 for i in range(n_ids)]
     block = simulate(cov, sigma, init, replica_ids=ids, **kwargs)
     for rid, tr in zip(ids, block):

@@ -123,10 +123,13 @@ L = 1.0
 def test_constants_run():
     rs = run_experiment(parse_config(CONSTANTS_CFG))
     assert rs.all_passed and rs.exit_code == EXIT_PASS
-    closed = [r for r in rs.constants if r[6] == "closed-form"]
-    assert closed[0][4] == pytest.approx(7.54247, abs=1e-5)
-    mc = [r for r in rs.constants if r[6] == "monte-carlo"]
-    assert abs(mc[0][4] - closed[0][4]) < 5 * mc[0][5]
+    (row,) = rs.constants
+    assert row[4] == pytest.approx(7.54247, abs=1e-5)
+    assert row[5:] == (0.0, "closed-form")
+    for kind, method in (("ball", "closed-form"), ("box", "quadrature")):
+        (row,) = run_experiment(parse_config(CONSTANTS_CFG.replace(
+            "d = 1", "d = 2\nregion_kind = " + kind))).constants
+        assert row[3:4] + row[5:] == (kind, 0.0, method)
 
 
 def test_noise_validate_run():
@@ -282,7 +285,8 @@ def _field_stacks(cfg):
     # whole fields per record time, as a reference for the reductions
     trajs = simulate(build_embedding(cfg.lattice, cfg.spec), cfg.sigma,
                      cfg.init, cfg.T, cfg.dt, cfg.record_times, cfg.regions,
-                     cfg.seed, range(cfg.n_replicas), reducer=np.copy)
+                     cfg.seed, range(cfg.n_replicas),
+                     reducers={t: np.copy for t in cfg.record_times})
     return {t: np.stack([tr.reduced[t] for tr in trajs])
             for t in cfg.record_times}
 
@@ -322,6 +326,24 @@ def test_reduced_eta_and_decay_match_stacked_fields():
     assert 0 < upper.min() and len(rows) == 3
     assert rs.reports[0].estimate == pytest.approx(upper.max() / upper.min(),
                                                    rel=1e-9, abs=0)
+
+
+def test_decay_reduces_only_the_last_record_time(monkeypatch):
+    from riesz_she import runner
+    cfg = parse_config(MINIMAL.replace("kind = clt", "kind = decay")
+                       .replace("n_replicas = 200", "n_replicas = 100")
+                       .replace("seed = 7", "seed = 7\nrecord_times = "
+                                "0.01, 0.02, 0.04"))
+    real, trajs = runner.run_replicas, []
+
+    def spy(*args, **kwargs):
+        trajs.extend(real(*args, **kwargs))
+        return trajs
+    monkeypatch.setattr(runner, "run_replicas", spy)
+    rs = run_experiment(cfg)
+    assert len(trajs) == 100
+    assert all(tr.reduced.keys() == {0.04} for tr in trajs)
+    assert rs.reduced.keys() == {0.04} and rs.reports
 
 
 def test_decay_lags_out_of_range_is_a_config_error(tmp_path, monkeypatch):

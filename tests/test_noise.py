@@ -28,11 +28,12 @@ def test_cell_self_energy_closed_form():
 
 
 def test_cell_self_energy_d2_frozen_oracle():
-    # 2.97321: deterministic polar quadrature of the unit-square pair
-    # integral int (1-|d1|)(1-|d2|)/|d|; MC here must agree within 3 se.
-    val, se = cell_self_energy(1.0, RieszSpec(2, 1.0), return_stderr=True)
-    assert se > 0
-    assert abs(val - 2.97321) < 3 * se + 1e-4
+    # 2.9732096: deterministic polar quadrature of the unit-square pair
+    # integral int (1-|d1|)(1-|d2|)/|d|, frozen here
+    assert cell_self_energy(1.0, RieszSpec(2, 1.0)) == pytest.approx(
+        2.9732096, abs=1e-6)
+    assert cell_self_energy(0.5, RieszSpec(2, 1.0)) == pytest.approx(
+        2.9732096 * 2.0, abs=2e-6)
 
 
 def test_cell_self_energy_bad_h():

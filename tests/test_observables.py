@@ -8,7 +8,8 @@ from riesz_she import (DegenerateSigmaError, InitialCondition, Lattice,
                        SpatialField, build_embedding, estimate_eta, k_beta,
                        limit_covariance, predicted_sigma, region_average,
                        simulate)
-from riesz_she.observables import window_sigma_mean
+from riesz_she.noise import cube_pair_integral
+from riesz_she.observables import ball_pair_integral, window_sigma_mean
 
 K_BETA_HALF = 2 ** 2.5 / 0.75  # d=1, beta=0.5 ball: 7.54247...
 
@@ -69,37 +70,57 @@ def test_region_box_mask_d2():
 
 
 def test_k_beta_closed_form():
-    val, se = k_beta(Region("ball", 1.0), RieszSpec(1, 0.5),
-                     method="closed-form")
-    assert se == 0.0
-    assert val == pytest.approx(K_BETA_HALF, rel=1e-12)
-    assert val == pytest.approx(7.54247, abs=1e-5)
+    for kind in ("ball", "box"):
+        val = k_beta(Region(kind, 1.0), RieszSpec(1, 0.5))
+        assert val == pytest.approx(K_BETA_HALF, rel=1e-12)
+        assert val == pytest.approx(7.54247, abs=1e-5)
 
 
 @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
-def test_k_beta_mc_matches_closed_form(beta):
-    spec = RieszSpec(1, beta)
-    exact, _ = k_beta(Region("ball", 1.0), spec, method="closed-form")
-    mc, se = k_beta(Region("ball", 1.0), spec, method="monte-carlo",
-                    rng=np.random.default_rng(1234 + int(beta * 100)))
-    # the integrand is heavy-tailed near coincident pairs, so the estimated
-    # se is itself noisy at large beta; allow 5 se or 5% relative error
-    assert abs(mc - exact) < max(5 * se, 0.05 * exact)
+def test_pair_integrals_d1_match_closed_form(beta):
+    # the general cube and ball formulas reduce to the d=1 closed forms
+    b = beta
+    assert cube_pair_integral(1, b) == pytest.approx(
+        2 / ((1 - b) * (2 - b)), rel=1e-14, abs=0)
+    assert ball_pair_integral(1, b) == pytest.approx(
+        2 ** (3 - b) / ((1 - b) * (2 - b)), rel=1e-13, abs=0)
+
+
+def test_pair_integrals_converged_in_nodes(monkeypatch):
+    from riesz_she import noise
+    cases = [(d, b) for d in (2, 3) for b in (0.5, 1.0, 1.5, 1.9)]
+    base = [cube_pair_integral(d, b) for d, b in cases]
+    monkeypatch.setattr(noise, "_NODES", 2 * noise._NODES)
+    for (d, b), v in zip(cases, base):
+        assert abs(cube_pair_integral(d, b) - v) <= 1e-13
 
 
 def test_k_beta_d2_frozen_reference():
-    # d=2, beta=1 unit disk: exact value 16*pi/3 (matches the 1e7-pair MC
-    # oracle 16.75548 +- 0.016 computed once and frozen here)
-    mc, se = k_beta(Region("ball", 1.0), RieszSpec(2, 1.0),
-                    method="monte-carlo", n_pairs=2_000_000,
-                    rng=np.random.default_rng(77))
-    assert abs(mc - 16 * np.pi / 3) < 3 * se
-    assert abs(mc - 16.75548) < 0.15
+    # d=2, beta=1 unit disk: exact value 16*pi/3
+    assert k_beta(Region("ball", 1.0), RieszSpec(2, 1.0)) == pytest.approx(
+        16 * np.pi / 3, rel=1e-13, abs=0)
+    # d=2, beta=1.5: unit square 8.05561 and unit disk 34.0685 by adaptive
+    # quadrature, frozen here; 1e6-pair Monte Carlo gave 7.741 and 32.876
+    assert cube_pair_integral(2, 1.5) == pytest.approx(8.05561, abs=1e-5)
+    assert k_beta(Region("ball", 1.0), RieszSpec(2, 1.5)) == pytest.approx(
+        34.0685, abs=1e-4)
+    assert k_beta(Region("box", 1.0), RieszSpec(2, 1.5)) == pytest.approx(
+        2 ** 2.5 * cube_pair_integral(2, 1.5), rel=1e-15, abs=0)
+    # R^{2d-beta} scaling
+    assert k_beta(Region("ball", 2.0), RieszSpec(2, 1.0)) == pytest.approx(
+        16 * np.pi / 3 * 2 ** 3, rel=1e-13, abs=0)
 
 
-def test_k_beta_closed_form_requires_d1():
-    with pytest.raises(ValueError, match="d=1"):
-        k_beta(Region("ball", 1.0), RieszSpec(2, 1.0), method="closed-form")
+def test_k_beta_ball_d3_pair_density():
+    # unit 3-ball pair-distance density 3 r^2 (1 - 3r/4 + r^3/16) on [0, 2],
+    # integrated against r^{-beta} term by term
+    vol = 4 * np.pi / 3
+    for b in (0.5, 1.0, 1.5, 1.9):
+        exact = vol ** 2 * 3 * (2 ** (3 - b) / (3 - b)
+                                - 0.75 * 2 ** (4 - b) / (4 - b)
+                                + 2 ** (6 - b) / (16 * (6 - b)))
+        assert k_beta(Region("ball", 1.0), RieszSpec(3, b)) == \
+            pytest.approx(exact, rel=1e-13, abs=0)
 
 
 def test_limit_constants_validation():
@@ -191,7 +212,8 @@ def window_mean_run():
     window = Region("box", lat.L - 6 * np.sqrt(T)).cells(lat)
     reducer = functools.partial(window_sigma_mean, sigma=sigma, window=window)
     trajs = simulate(cov, sigma, init, T, dt, times, [Region("ball", 2.0)],
-                     seed=31, replica_ids=range(150), reducer=reducer)
+                     seed=31, replica_ids=range(150),
+                     reducers={t: reducer for t in times})
     means = {t: np.array([tr.reduced[t] for tr in trajs]) for t in times}
     return lat, window, means
 
@@ -254,9 +276,7 @@ def test_box_vs_ball_variance_ratio_d2():
                        replica_ids=range(400)):
         gb.append(tr.region_averages[(T, 0)])
         gx.append(tr.region_averages[(T, 1)])
-    k_ball, se_b = k_beta(Region("ball", 1.0), spec, method="monte-carlo",
-                          n_pairs=500_000, rng=np.random.default_rng(8))
-    k_box, se_x = k_beta(Region("box", 1.0), spec, method="monte-carlo",
-                         n_pairs=500_000, rng=np.random.default_rng(9))
+    k_ball = k_beta(Region("ball", 1.0), spec)
+    k_box = k_beta(Region("box", 1.0), spec)
     emp_ratio = np.var(gx, ddof=1) / np.var(gb, ddof=1)
     assert emp_ratio == pytest.approx(k_box / k_ball, rel=0.15)

@@ -257,14 +257,34 @@ def test_stats_report_as_row():
     assert row["stderr"] == ""
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy loads only inside the functions that need it (KS distance,
-    # lemma 3.1 quadrature, ball constants in d >= 2)
+def _scipy_modules_after(code):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", "import riesz_she.cli, sys; "
+        [sys.executable, "-c", code + "\nimport sys; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env=env, cwd=root)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy loads only inside the functions that need it (KS distance,
+    # lemma 3.1 quadrature)
+    assert _scipy_modules_after("import riesz_she.cli") == "[]"
+
+
+def test_constants_and_embedding_load_no_scipy():
+    # the kernel constants are numpy formulas in every dimension
+    assert _scipy_modules_after("""
+from riesz_she import Lattice, Region, RieszSpec, build_embedding, k_beta
+from riesz_she.config import parse_config
+from riesz_she.runner import run_experiment
+build_embedding(Lattice(2, 32, 4.0), RieszSpec(2, 1.5))
+for d in (2, 3):
+    for kind in ("ball", "box"):
+        k_beta(Region(kind, 1.0), RieszSpec(d, 1.5))
+rs = run_experiment(parse_config(
+    "kind = constants\\nd = 1\\nbeta = 0.5\\n[lattice]\\nn = 4\\nL = 1.0\\n"))
+assert rs.constants
+""") == "[]"
