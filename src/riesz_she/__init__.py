@@ -10,8 +10,8 @@ from .engine import (DegenerateSigmaError, FieldState, InitialCondition,
                      InstabilityError, NonlinearitySpec, Trajectory,
                      heat_semigroup, mean_field, simulate, step)
 from .observables import (LimitConstants, Region, estimate_eta, k_beta,
-                          limit_covariance, predicted_sigma, region_average)
-from .stats import (SampleSet, StatsReport, correlation_decay_check,
+                          limit_covariance, region_average)
+from .stats import (StatsReport, correlation_decay_check,
                     functional_cov_check, increment_moment_fit, ks_distance,
                     lemma31_check, rate_fit, scaling_fit, standardize)
 from .config import ConfigError, ExperimentConfig, load_config, parse_config

@@ -7,7 +7,7 @@ stability margin), record_times = [T], ball regions at the origin.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +91,6 @@ class ExperimentConfig:
     lags: list = None
     y_list: list = None
     p_moment: int = 2
-    init_params: dict = field(default_factory=dict)
 
     @property
     def eta_exact(self):
@@ -151,32 +150,26 @@ class ExperimentConfig:
             lines += ["kind = constant", "value = %.17g" % self.init.value]
         else:
             lines += ["kind = cosine",
-                      "offset = %.17g" % self.init_params["offset"],
-                      "amplitude = %.17g" % self.init_params["amplitude"],
-                      "cycles = %d" % self.init_params.get("cycles", 1)]
+                      "offset = %.17g" % self.init.offset,
+                      "amplitude = %.17g" % self.init.amplitude,
+                      "cycles = %d" % self.init.cycles]
         return "\n".join(lines) + "\n"
 
     def config_hash(self):
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
-def _build_init(sec, lattice):
+def _build_init(sec):
     kind = sec.get("kind", "constant")
     if kind == "constant":
-        value = _get(sec, "value", float, default=1.0)
-        return InitialCondition(kind="constant", value=value), {}
+        return InitialCondition(kind="constant",
+                                value=_get(sec, "value", float, default=1.0))
     if kind == "cosine":
-        offset = _get(sec, "offset", float, required=True)
-        amplitude = _get(sec, "amplitude", float, required=True)
-        cycles = _get(sec, "cycles", int, default=1)
-        grids = lattice.center_grids()
-        table = offset + amplitude * np.cos(
-            cycles * np.pi * grids[0] / lattice.L)
-        table = np.broadcast_to(table, lattice.shape).copy()
-        lower, upper = offset - abs(amplitude), offset + abs(amplitude)
-        return (InitialCondition(kind="bounded-function", table=table,
-                                 lower=lower, upper=upper),
-                {"offset": offset, "amplitude": amplitude, "cycles": cycles})
+        return InitialCondition(
+            kind="cosine",
+            offset=_get(sec, "offset", float, required=True),
+            amplitude=_get(sec, "amplitude", float, required=True),
+            cycles=_get(sec, "cycles", int, default=1))
     raise ConfigError("unknown init kind %r (constant or cosine)" % (kind,))
 
 
@@ -203,7 +196,7 @@ def parse_config(text):
             a=_get(sig_sec, "a", float, default=1.0),
             b=_get(sig_sec, "b", float, default=0.0),
             c=_get(sig_sec, "c", float, default=0.0))
-        init, init_params = _build_init(init_sec, lattice)
+        init = _build_init(init_sec)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -234,7 +227,7 @@ def parse_config(text):
         kind=kind, spec=spec, lattice=lattice, sigma=sigma, init=init,
         T=T, dt=dt, record_times=record_times, R_list=R_list,
         region_kind=region_kind, n_replicas=n_replicas, seed=seed,
-        lags=lags, y_list=y_list, p_moment=p_moment, init_params=init_params)
+        lags=lags, y_list=y_list, p_moment=p_moment)
     validate_config(cfg)
     return cfg
 

@@ -59,39 +59,26 @@ class NonlinearitySpec:
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Either a positive constant or a tabulated bounded function."""
-    kind: str  # "constant" | "bounded-function"
+    """u0 = value, or the cosine start
+    offset + amplitude * cos(cycles * pi * x_0 / L) along the first axis."""
+    kind: str  # "constant" | "cosine"
     value: float = 1.0
-    table: np.ndarray = None
-    lower: float = None
-    upper: float = None
+    offset: float = 0.0
+    amplitude: float = 0.0
+    cycles: int = 1
 
     def __post_init__(self):
-        if self.kind == "constant":
-            object.__setattr__(self, "lower", self.value)
-            object.__setattr__(self, "upper", self.value)
-        elif self.kind == "bounded-function":
-            if self.table is None or self.lower is None or self.upper is None:
-                raise ValueError("bounded-function initial condition needs "
-                                 "a table and declared bounds")
-            t = np.asarray(self.table, dtype=np.float64)
-            if t.min() < self.lower or t.max() > self.upper:
-                raise ValueError(
-                    "initial condition violates declared bounds [%g, %g]: "
-                    "range [%g, %g]" % (self.lower, self.upper,
-                                        t.min(), t.max()))
-            object.__setattr__(self, "table", t)
-        else:
+        if self.kind not in ("constant", "cosine"):
             raise ValueError("unknown initial-condition kind %r" % (self.kind,))
 
     def field_on(self, lattice):
         if self.kind == "constant":
             return SpatialField(lattice, np.full(lattice.shape, self.value))
-        if self.table.shape != lattice.shape:
-            raise ValueError("tabulated initial condition shape %s does not "
-                             "match lattice %s" % (self.table.shape,
-                                                   lattice.shape))
-        return SpatialField(lattice, self.table.copy())
+        x0 = lattice.center_grids()[0]
+        values = self.offset + self.amplitude * np.cos(
+            self.cycles * np.pi * x0 / lattice.L)
+        return SpatialField(lattice,
+                            np.broadcast_to(values, lattice.shape).copy())
 
 
 @dataclass

@@ -10,6 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# covariance_diagnostic flags a lag whose empirical/target ratio leaves this
+COVARIANCE_BAND = (0.9, 1.1)
+
 
 class EmbeddingError(Exception):
     """Circulant eigenvalues too negative to clamp safely."""
@@ -227,14 +230,10 @@ class CovarianceLagRow:
     flagged: bool
 
 
-@dataclass
-class CovarianceReport:
-    rows: list
-
-
-def covariance_diagnostic(slices, lags, spec, dt, band=(0.9, 1.1)):
-    """Empirical lag covariances of sampled slices vs dt * kernel. slices
-    may be a generator: each is reduced to its lag products on arrival."""
+def covariance_diagnostic(slices, lags, spec, dt):
+    """Empirical lag covariances of sampled slices vs dt * kernel, one
+    CovarianceLagRow per lag. slices may be a generator: each is reduced
+    to its lag products on arrival."""
     if not lags:
         raise ValueError("empty lag list")
     lag_ts = [(lag,) if np.isscalar(lag) else tuple(lag) for lag in lags]
@@ -263,5 +262,5 @@ def covariance_diagnostic(slices, lags, spec, dt, band=(0.9, 1.1)):
         rows.append(CovarianceLagRow(
             lag=lag_t, distance=dist, empirical=emp, theoretical=theo,
             ratio=ratio, stderr=se,
-            flagged=not (band[0] <= ratio <= band[1])))
-    return CovarianceReport(rows=rows)
+            flagged=not (COVARIANCE_BAND[0] <= ratio <= COVARIANCE_BAND[1])))
+    return rows

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DegenerateSigmaError
 from .noise import cube_pair_integral
 
 
@@ -160,17 +159,6 @@ def estimate_eta(means_by_time):
         raise ValueError("need >= 100 replicas for eta, got %d" % n)
     return (np.array(times), per_rep.mean(axis=1),
             per_rep.std(axis=1, ddof=1) / np.sqrt(n))
-
-
-def predicted_sigma(t, R, constants, d, beta):
-    """Predicted Var G_R(t): k * int_0^t eta^2 * R^{2d - beta}."""
-    if t == 0:
-        return 0.0
-    integral = constants.eta_sq_integral(t)
-    if integral * constants.k_beta < 1e-14:
-        raise DegenerateSigmaError(
-            "degenerate sigma(1)=0 regime; no CLT normalization exists")
-    return constants.k_beta * integral * R ** (2.0 * d - beta)
 
 
 def limit_covariance(times, constants):

@@ -21,7 +21,7 @@ from .engine import DegenerateSigmaError, block_size, mean_field, simulate
 from .noise import build_embedding, covariance_diagnostic, sample_slice
 from .observables import (LimitConstants, Region, constants_rows, estimate_eta,
                           k_beta, window_sigma_mean)
-from .stats import (KS_FLOOR_1PCT, SampleSet, StatsReport,
+from .stats import (KS_FLOOR_1PCT, StatsReport,
                     correlation_decay_check, functional_cov_check,
                     increment_moment_fit, increment_r_scaling, ks_distance,
                     lemma31_check, rate_fit, scaling_fit, sigma_lag_means,
@@ -146,9 +146,8 @@ def _run_noise_validate(cfg, workers):
     cov = build_embedding(cfg.lattice, cfg.spec)
     slices = (sample_slice(cov, cfg.dt, stream_for(cfg.seed, i, 0))
               for i in range(cfg.n_replicas))
-    rep = covariance_diagnostic(slices, cfg.lag_cells, cfg.spec, cfg.dt)
     rs = ResultSet(config=cfg)
-    for row in rep.rows:
+    for row in covariance_diagnostic(slices, cfg.lag_cells, cfg.spec, cfg.dt):
         rs.reports.append(StatsReport(
             metric="noise_covariance_ratio",
             params={"lag": row.lag, "distance": row.distance},
@@ -203,9 +202,8 @@ def _run_clt(cfg, workers):
     sig_pairs, ks_pairs = [], []
     for R in Rs:
         g = rs.samples[R][t]
-        sset = SampleSet(values=g, R=R, t=t)
         sig_pairs.append((R, float(np.sqrt(g.var(ddof=1)))))
-        ks = ks_distance(standardize(sset, "empirical"))
+        ks = ks_distance(standardize(g))
         ks_pairs.append((R, ks))
         rs.reports.append(StatsReport(
             metric="ks_distance", params={"R": R, "t": t},

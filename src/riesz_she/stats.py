@@ -6,31 +6,20 @@ samples, and the theory gives the same rate for both. Rate checks are
 one-sided because the theoretical rate is an upper bound.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import DegenerateSigmaError
-from .observables import limit_covariance, predicted_sigma
+from .observables import limit_covariance
 
 # Order-statistic floors for the KS estimator on exact-normal input.
 KS_FLOOR_1PCT = 1.63    # / sqrt(N)
-
-
-@dataclass
-class SampleSet:
-    """One G_R(t) value per replica."""
-    values: np.ndarray
-    R: float
-    t: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-
-    @property
-    def n_replicas(self):
-        return len(self.values)
+FCLT_CORR_TOL = 0.05          # |empirical - limit| correlation per time pair
+INCREMENT_SLOPE_FACTOR = 0.8  # increment slope must reach this * p/2
+DECAY_MAX_MIN_RATIO = 5.0     # max/min of the decay envelope
 
 
 @dataclass
@@ -56,20 +45,13 @@ class StatsReport:
         }
 
 
-def standardize(samples, mode, constants=None, d=None, beta=None):
-    """Divide G_R values by the empirical or predicted standard deviation."""
-    v = samples.values
-    if mode == "empirical":
-        var = float(v.var(ddof=1))
-        if var < 1e-12:
-            raise DegenerateSigmaError("degenerate; sigma(1)=0?")
-        return v / np.sqrt(var)
-    if mode == "predicted":
-        var = predicted_sigma(samples.t, samples.R, constants, d, beta)
-        if var < 1e-12:
-            raise DegenerateSigmaError("degenerate; sigma(1)=0?")
-        return v / np.sqrt(var)
-    raise ValueError("mode must be empirical or predicted, got %r" % (mode,))
+def standardize(values):
+    """Divide G_R values by their empirical standard deviation."""
+    v = np.asarray(values, dtype=np.float64)
+    var = float(v.var(ddof=1))
+    if var < 1e-12:
+        raise DegenerateSigmaError("degenerate; sigma(1)=0?")
+    return v / np.sqrt(var)
 
 
 def ks_distance(standardized):
@@ -143,8 +125,7 @@ def rate_fit(pairs, n_replicas):
     return float(slope), float(stderr), excluded
 
 
-def functional_cov_check(samples_by_time, times, R, constants, d, beta,
-                         corr_tol=0.05):
+def functional_cov_check(samples_by_time, times, R, constants, d, beta):
     """Compare the empirical covariance of normalized averages at several
     times to the Brownian-type limit k * int_0^{min} eta^2."""
     times = list(times)
@@ -168,8 +149,8 @@ def functional_cov_check(samples_by_time, times, R, constants, d, beta,
             reports.append(StatsReport(
                 metric="fclt_correlation",
                 params={"t_i": times[i], "t_j": times[j], "R": R},
-                estimate=est, target=tgt, tolerance=corr_tol,
-                passed=abs(est - tgt) <= corr_tol,
+                estimate=est, target=tgt, tolerance=FCLT_CORR_TOL,
+                passed=abs(est - tgt) <= FCLT_CORR_TOL,
                 stderr=float((1 - est ** 2) / np.sqrt(X.shape[0]))))
     for i in range(len(times)):
         for j in range(i, len(times)):
@@ -183,20 +164,17 @@ def functional_cov_check(samples_by_time, times, R, constants, d, beta,
     return reports
 
 
-def increment_moment_fit(samples_by_time, time_pairs, p=2,
-                         min_slope_factor=0.8):
+def increment_moment_fit(samples_by_time, time_pairs, p=2):
     """Log-log slope of E|G(t) - G(s)|^p against t - s (one-sided check)."""
     if p not in (2, 4):
         raise ValueError("p must be 2 or 4")
     gaps, moments = [], []
-    skipped = []
     for s, t in time_pairs:
         if t == s:
             continue
         inc = np.asarray(samples_by_time[t]) - np.asarray(samples_by_time[s])
         m = float(np.mean(np.abs(inc) ** p))
         if m < 1e-300:
-            skipped.append((s, t))
             warnings.warn("increment (%g, %g) below noise floor; excluded"
                           % (s, t))
             continue
@@ -208,7 +186,7 @@ def increment_moment_fit(samples_by_time, time_pairs, p=2,
     if gaps.max() / gaps.min() < 10.0 - 1e-9:
         raise ValueError("increment gaps must span a decade")
     slope, _, stderr = _linfit(np.log(gaps), np.log(moments))
-    target = min_slope_factor * (p / 2.0)
+    target = INCREMENT_SLOPE_FACTOR * (p / 2.0)
     return StatsReport(
         metric="increment_moment_slope",
         params={"p": p},
@@ -251,8 +229,7 @@ def sigma_lag_means(values, sigma, lag_cells):
                                    for lag in lag_cells])
 
 
-def correlation_decay_check(lag_means, lag_cells, lattice, beta,
-                            max_min_ratio=5.0):
+def correlation_decay_check(lag_means, lag_cells, lattice, beta):
     """Envelope check: |Psi_hat(xi) - eta_hat^2| * |xi|^beta bounded in xi.
 
     lag_means: one sigma_lag_means row per replica. eta_hat and
@@ -279,28 +256,27 @@ def correlation_decay_check(lag_means, lag_cells, lattice, beta,
     return StatsReport(
         metric="correlation_decay_envelope",
         params={"beta": beta, "n_lags": len(rows)},
-        estimate=ratio, target=1.0, tolerance=max_min_ratio,
-        passed=ratio <= max_min_ratio,
+        estimate=ratio, target=1.0, tolerance=DECAY_MAX_MIN_RATIO,
+        passed=ratio <= DECAY_MAX_MIN_RATIO,
         note="max/min of |Psi-eta^2|*dist^beta over upper half of lags"), rows
 
 
-def _gaussian_smoothed_kernel(y, s, beta, d, rng=None, n_mc=400_000):
-    """E |y + sqrt(s) Z|^{-beta} for standard Gaussian Z in R^d."""
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    ss = np.sqrt(s)
-    if d == 1:
-        from scipy.integrate import quad
-        y0 = float(y[0])
-        f = lambda z: abs(y0 + ss * z) ** (-beta) * np.exp(-z * z / 2) \
-            / np.sqrt(2 * np.pi)
-        sing = -y0 / ss
-        pts = [sing] if -30.0 < sing < 30.0 else None
-        val, _ = quad(f, -30.0, 30.0, points=pts, limit=400)
-        return float(val)
-    if rng is None:
-        rng = np.random.default_rng(0x31415)
-    z = rng.standard_normal((n_mc, d))
-    return float(np.mean(np.linalg.norm(y[None, :] + ss * z, axis=1) ** (-beta)))
+def _gaussian_smoothed_kernel(r, s, beta, d):
+    """E |y + sqrt(s) Z|^{-beta} at |y| = r, Z standard Gaussian in R^d,
+    for each s in the array s; needs beta < d.
+
+    Writing |v|^{-beta} = int_0^inf u^{beta/2-1} e^{-u|v|^2} du / Gamma(beta/2)
+    and E e^{-u|y + sqrt(s) Z|^2} = (1+2us)^{-d/2} e^{-u r^2/(1+2us)}, the
+    substitution w = 2us/(1+2us) gives Kummer's integral, and Kummer's
+    transformation (DLMF 13.2) the closed form
+    (2s)^{-beta/2} Gamma((d-beta)/2) / Gamma(d/2) 1F1(beta/2; d/2; -r^2/(2s)).
+    """
+    from scipy.special import hyp1f1  # the confluent hypergeometric 1F1
+    s = np.asarray(s, dtype=np.float64)
+    gamma_ratio = math.exp(math.lgamma((d - beta) / 2.0)
+                           - math.lgamma(d / 2.0))
+    return ((2.0 * s) ** (-beta / 2.0) * gamma_ratio
+            * hyp1f1(beta / 2.0, d / 2.0, -r * r / (2.0 * s)))
 
 
 def lemma31_check(spec, y, s_grid=None, refine_tol=0.02):
@@ -310,16 +286,16 @@ def lemma31_check(spec, y, s_grid=None, refine_tol=0.02):
     refinement, and the small-s limit (which must be 1).
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if np.linalg.norm(y) == 0:
+    r_y = float(np.linalg.norm(y))
+    if r_y == 0:
         raise ValueError("y must be nonzero")
     if s_grid is None:
         s_grid = np.logspace(-3, 3, 61)
     s_grid = np.asarray(s_grid, dtype=np.float64)
-    ref = np.linalg.norm(y) ** (-spec.beta)
 
     def ratios(grid):
-        return np.array([_gaussian_smoothed_kernel(y, s, spec.beta, spec.d)
-                         for s in grid]) / ref
+        return _gaussian_smoothed_kernel(r_y, grid, spec.beta, spec.d) \
+            * r_y ** spec.beta
 
     r = ratios(s_grid)
     fine = np.sort(np.concatenate(

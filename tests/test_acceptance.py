@@ -23,7 +23,7 @@ from riesz_she.config import parse_config
 from riesz_she.observables import LimitConstants, k_beta
 from riesz_she.runner import (EXIT_DEGENERATE, collect_samples,
                               run_experiment, run_replicas)
-from riesz_she.stats import (SampleSet, functional_cov_check,
+from riesz_she.stats import (functional_cov_check,
                              increment_moment_fit, increment_r_scaling,
                              ks_distance, lemma31_check, rate_fit,
                              scaling_fit, standardize)
@@ -88,9 +88,7 @@ def clipped_run():
 
 
 def _ks_by_R(samples, t=0.25):
-    return [(R, ks_distance(standardize(SampleSet(samples[R][t], R, t),
-                                        "empirical")))
-            for R in R_LIST]
+    return [(R, ks_distance(standardize(samples[R][t]))) for R in R_LIST]
 
 
 def test_criterion_01_noise_covariance():

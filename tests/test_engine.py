@@ -139,22 +139,20 @@ def test_mean_field_examples(small_setup):
     assert np.allclose(mean_field(const, 0.7, lat).values, 1.0, atol=1e-12)
     assert np.array_equal(mean_field(const, 0.0, lat).values,
                           const.field_on(lat).values)
-    # bounded initial condition stays within bounds under the heat flow
-    x = lat.axis_centers()
-    table = 1.25 + 0.75 * np.cos(np.pi * x / lat.L)
-    init = InitialCondition("bounded-function", table=table,
-                            lower=0.5, upper=2.0)
+    # the cosine start varies along the first axis only and stays within
+    # its bounds under the heat flow
+    init = InitialCondition("cosine", offset=1.25, amplitude=0.75)
+    assert np.array_equal(init.field_on(lat).values,
+                          1.25 + 0.75 * np.cos(np.pi * lat.axis_centers()
+                                               / lat.L))
+    lat2 = Lattice(d=2, n=8, L=2.0)
+    u0 = InitialCondition("cosine", offset=0.0, amplitude=1.0,
+                          cycles=3).field_on(lat2).values
+    column = np.cos(3 * np.pi * lat2.axis_centers() / 2.0)[:, None]
+    assert np.array_equal(u0, np.broadcast_to(column, (8, 8)))
     out = mean_field(init, 0.2, lat)
     assert out.values.min() >= 0.5 - 1e-9
     assert out.values.max() <= 2.0 + 1e-9
-
-
-def test_initial_condition_bounds_enforced(small_setup):
-    lat, _, _ = small_setup
-    with pytest.raises(ValueError, match="bounds"):
-        InitialCondition("bounded-function",
-                         table=np.full(lat.shape, 3.0),
-                         lower=0.5, upper=2.0)
 
 
 def test_snap_to_grid():

@@ -105,9 +105,9 @@ def test_covariance_diagnostic_band(slices_1d):
     lat, spec, cov, dt, slices = slices_1d
     # distances from h up to L/2
     lags = [(0,), (1,), (2,), (4,), (8,), (16,), (32,)]
-    rep = covariance_diagnostic(slices, lags, spec, dt)
-    assert not any(r.flagged for r in rep.rows)
-    for row in rep.rows:
+    rows = covariance_diagnostic(slices, lags, spec, dt)
+    assert not any(r.flagged for r in rows)
+    for row in rows:
         assert 0.9 <= row.ratio <= 1.1
 
 
@@ -117,7 +117,7 @@ def test_covariance_diagnostic_determinism(slices_1d):
     b = [sample_slice(cov, dt, stream_for(5, i, 0)) for i in range(200)]
     ra = covariance_diagnostic(a, [(0,), (3,)], spec, dt)
     rb = covariance_diagnostic(b, [(0,), (3,)], spec, dt)
-    for x, y in zip(ra.rows, rb.rows):
+    for x, y in zip(ra, rb):
         assert x.empirical == y.empirical
 
 

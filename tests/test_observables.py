@@ -3,11 +3,10 @@ import functools
 import numpy as np
 import pytest
 
-from riesz_she import (DegenerateSigmaError, InitialCondition, Lattice,
-                       LimitConstants, NonlinearitySpec, Region, RieszSpec,
-                       SpatialField, build_embedding, estimate_eta, k_beta,
-                       limit_covariance, predicted_sigma, region_average,
-                       simulate)
+from riesz_she import (InitialCondition, Lattice, LimitConstants,
+                       NonlinearitySpec, Region, RieszSpec, SpatialField,
+                       build_embedding, estimate_eta, k_beta,
+                       limit_covariance, region_average, simulate)
 from riesz_she.noise import cube_pair_integral
 from riesz_she.observables import ball_pair_integral, window_sigma_mean
 
@@ -130,25 +129,6 @@ def test_limit_constants_validation():
         LimitConstants(k_beta=1.0, t_grid=[0.0, 1.0], eta=[1.0])
 
 
-def test_predicted_sigma_linear_reference():
-    constants = LimitConstants(k_beta=K_BETA_HALF, t_grid=[0.0, 0.125, 0.25],
-                               eta=np.ones(3))
-    val = predicted_sigma(0.25, 16.0, constants, d=1, beta=0.5)
-    assert val == pytest.approx(0.25 * K_BETA_HALF * 16 ** 1.5, rel=1e-12)
-    assert val == pytest.approx(120.68, abs=0.01)
-    assert predicted_sigma(0.0, 16.0, constants, d=1, beta=0.5) == 0.0
-    # doubling R multiplies by 2^{2d-beta} exactly
-    v2 = predicted_sigma(0.25, 32.0, constants, d=1, beta=0.5)
-    assert v2 == pytest.approx(val * 2 ** 1.5, rel=1e-12)
-
-
-def test_predicted_sigma_degenerate():
-    constants = LimitConstants(k_beta=K_BETA_HALF, t_grid=[0.0, 0.25],
-                               eta=[0.0, 0.0])
-    with pytest.raises(DegenerateSigmaError):
-        predicted_sigma(0.25, 16.0, constants, d=1, beta=0.5)
-
-
 def test_limit_covariance_linear_case():
     constants = LimitConstants(k_beta=K_BETA_HALF, t_grid=[0.0, 0.1, 0.2],
                                eta=np.ones(3))
@@ -157,11 +137,6 @@ def test_limit_covariance_linear_case():
     assert C[0, 1] == pytest.approx(K_BETA_HALF * 0.1, rel=1e-12)
     corr = C[0, 1] / np.sqrt(C[0, 0] * C[1, 1])
     assert corr == pytest.approx(np.sqrt(0.5), rel=1e-12)
-    # consistency with the variance prediction
-    var = predicted_sigma(0.2, 16.0, LimitConstants(
-        k_beta=K_BETA_HALF, t_grid=[0.0, 0.1, 0.2], eta=np.ones(3)),
-        d=1, beta=0.5)
-    assert C[1, 1] == pytest.approx(var / 16 ** 1.5, rel=1e-12)
 
 
 def test_limit_covariance_psd():

@@ -9,8 +9,9 @@ import pytest
 from riesz_she import (DegenerateSigmaError, Lattice, LimitConstants,
                        NonlinearitySpec, RieszSpec, build_embedding,
                        sample_slice)
-from riesz_she.stats import (KS_FLOOR_1PCT, SampleSet, StatsReport,
-                             _linfit, correlation_decay_check, functional_cov_check,
+from riesz_she.stats import (KS_FLOOR_1PCT, StatsReport,
+                             _gaussian_smoothed_kernel, _linfit,
+                             correlation_decay_check, functional_cov_check,
                              increment_moment_fit, increment_r_scaling,
                              ks_distance, lemma31_check, rate_fit,
                              scaling_fit, sigma_lag_means, standardize)
@@ -21,26 +22,13 @@ K_BETA_HALF = 2 ** 2.5 / 0.75
 
 def test_standardize_empirical():
     rng = np.random.default_rng(1)
-    s = SampleSet(3.0 * rng.standard_normal(5000), R=8.0, t=0.1)
-    z = standardize(s, "empirical")
+    z = standardize(3.0 * rng.standard_normal(5000))
     assert z.var(ddof=1) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_standardize_predicted():
-    constants = LimitConstants(k_beta=K_BETA_HALF, t_grid=[0.0, 0.25],
-                               eta=np.ones(2))
-    var = 0.25 * K_BETA_HALF * 16 ** 1.5
-    s = SampleSet(np.array([np.sqrt(var), -np.sqrt(var)] * 100), R=16.0, t=0.25)
-    z = standardize(s, "predicted", constants, d=1, beta=0.5)
-    assert np.allclose(np.abs(z), 1.0, rtol=1e-12)
-
-
 def test_standardize_degenerate_and_bad_mode():
-    s = SampleSet(np.zeros(200), R=4.0, t=0.1)
     with pytest.raises(DegenerateSigmaError):
-        standardize(s, "empirical")
-    with pytest.raises(ValueError, match="mode"):
-        standardize(SampleSet(np.ones(200), R=4.0, t=0.1), "other")
+        standardize(np.zeros(200))
 
 
 def test_ks_distance_calibration_large_sample():
@@ -247,6 +235,68 @@ def test_lemma31_rejects_origin():
         lemma31_check(RieszSpec(1, 0.5), [0.0])
 
 
+def _quad_kernel_1d(y, s, beta):
+    """E|y + sqrt(s) Z|^{-beta} in d=1, by quad across the singularity."""
+    from scipy.integrate import quad
+    ss = np.sqrt(s)
+    f = lambda z: abs(y + ss * z) ** (-beta) * np.exp(-z * z / 2) \
+        / np.sqrt(2 * np.pi)
+    sing = -y / ss
+    pts = [sing] if -30.0 < sing < 30.0 else None
+    return quad(f, -30.0, 30.0, points=pts, limit=400)[0]
+
+
+def _rice_kernel_2d(r_y, s, beta):
+    """E|y + sqrt(s) Z|^{-beta} in d=2: |y + sqrt(s) Z| is Rice distributed
+    with density (r/s) exp(-(r - |y|)^2/(2s)) i0e(r|y|/s)."""
+    from scipy.integrate import quad
+    from scipy.special import i0e
+    f = lambda r: r ** (-beta) * (r / s) \
+        * np.exp(-(r - r_y) ** 2 / (2 * s)) * i0e(r * r_y / s)
+    hi = r_y + 40.0 * np.sqrt(s)
+    return quad(f, 0.0, hi, points=[r_y], limit=400,
+                epsabs=0.0, epsrel=1e-13)[0]
+
+
+def test_smoothed_kernel_matches_quad_in_d1():
+    s = np.logspace(-3, 3, 13)
+    for beta in (0.25, 0.5, 0.9):
+        for y in (0.5, 1.0, 2.0):
+            oracle = [_quad_kernel_1d(y, si, beta) for si in s]
+            assert _gaussian_smoothed_kernel(y, s, beta, 1) == \
+                pytest.approx(oracle, rel=1e-7, abs=0)
+
+
+def test_smoothed_kernel_matches_rice_in_d2():
+    s = np.logspace(-2, 2, 9)
+    for beta in (0.5, 1.5):
+        for r_y in (0.5, 1.0, 2.0):
+            oracle = [_rice_kernel_2d(r_y, si, beta) for si in s]
+            assert _gaussian_smoothed_kernel(r_y, s, beta, 2) == \
+                pytest.approx(oracle, rel=1e-10, abs=0)
+
+
+def test_smoothed_kernel_large_s_in_d3():
+    # y is negligible against sqrt(s) Z: s^{-beta/2} E|Z|^{-beta}, where
+    # E|Z|^{-beta} = 2^{-beta/2} Gamma((3-beta)/2) / Gamma(3/2) in d=3; the
+    # relative correction is beta |y|^2 / (6 s) < 1e-13 on this grid
+    from math import gamma
+    s = np.array([1e13, 1e15, 1e17])
+    for beta in (0.5, 1.5):
+        exact = s ** (-beta / 2) * 2 ** (-beta / 2) \
+            * gamma((3 - beta) / 2) / gamma(1.5)
+        assert _gaussian_smoothed_kernel(1.0, s, beta, 3) == \
+            pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_lemma31_passes_in_d2():
+    rep = lemma31_check(RieszSpec(2, 1.5), [1.0, 0.0])
+    assert rep.passed
+    assert rep.estimate == pytest.approx(
+        max(_rice_kernel_2d(1.0, s, 1.5) for s in np.logspace(-3, 3, 61)),
+        rel=1e-10)
+
+
 def test_stats_report_as_row():
     rep = StatsReport(metric="m", estimate=1.0, target=2.0, tolerance=0.1,
                       passed=False, params={"R": 4.0, "t": 0.1})
@@ -270,7 +320,7 @@ def _scipy_modules_after(code):
 
 def test_cli_import_loads_no_scipy():
     # scipy loads only inside the functions that need it (KS distance,
-    # lemma 3.1 quadrature)
+    # lemma 3.1 kernel)
     assert _scipy_modules_after("import riesz_she.cli") == "[]"
 
 
@@ -288,3 +338,13 @@ rs = run_experiment(parse_config(
     "kind = constants\\nd = 1\\nbeta = 0.5\\n[lattice]\\nn = 4\\nL = 1.0\\n"))
 assert rs.constants
 """) == "[]"
+
+
+def test_lemma31_loads_no_scipy_integrate():
+    # the smoothed kernel is a closed form: scipy.special only, no quad
+    mods = _scipy_modules_after("""
+from riesz_she import RieszSpec, lemma31_check
+assert lemma31_check(RieszSpec(1, 0.5), [1.0]).passed
+""")
+    assert "scipy.special" in mods
+    assert "scipy.integrate" not in mods
