@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from .config import KINDS, ConfigError, load_config, validate_config
+from .config import KINDS, ConfigError, load_config
 from .engine import DegenerateSigmaError, InstabilityError
 from .runner import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_INSTABILITY,
                      emit_results, run_experiment)
@@ -18,24 +18,23 @@ def build_parser():
                    help="experiment to run (overrides kind in the config)")
     p.add_argument("--config", required=True, help="config file path")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override seed")
-    p.add_argument("--replicas", type=int, default=None,
-                   help="override replica count")
+    p.add_argument("--seed", default=None, help="override seed")
+    p.add_argument("--replicas", default=None, help="override replica count")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes")
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg.kind = args.kind
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.replicas is not None:
-            cfg.n_replicas = args.replicas
-        validate_config(cfg)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 on --help
+        return EXIT_CONFIG if exc.code else 0
+    overrides = {"kind": args.kind, "seed": args.seed,
+                 "n_replicas": args.replicas}
+    try:
+        cfg = load_config(args.config, {k: v for k, v in overrides.items()
+                                        if v is not None})
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -59,8 +59,6 @@ def _get(sec, key, conv, default=None, required=False):
         return default
     try:
         return conv(sec[key])
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError("key %r: cannot parse %r (%s)"
                           % (key, sec[key], exc))
@@ -173,17 +171,16 @@ def _build_init(sec):
     raise ConfigError("unknown init kind %r (constant or cosine)" % (kind,))
 
 
-def parse_config(text):
+def parse_config(text, overrides=None):
+    """ExperimentConfig from config text. overrides ({key: text}) replace
+    top-level keys before any value is converted or checked."""
     sections = _parse_sections(text)
-    top = sections[""]
+    top = {**sections[""], **(overrides or {})}
     lat_sec = sections.get("lattice", {})
     sig_sec = sections.get("sigma", {})
     init_sec = sections.get("init", {})
 
     kind = _get(top, "kind", str, required=True)
-    if kind not in KINDS:
-        raise ConfigError("unknown experiment kind %r (choose from %s)"
-                          % (kind, ", ".join(KINDS)))
     d = _get(top, "d", int, required=True)
     beta = _get(top, "beta", float, required=True)
     n = _get(lat_sec, "n", int, required=True)
@@ -201,22 +198,15 @@ def parse_config(text):
         raise ConfigError(str(exc))
 
     T = _get(top, "T", float, default=0.0)
-    if T < 0:
-        raise ConfigError("T must be nonnegative, got %g" % T)
     dt_default = lattice.h ** 2 / 4.0
     if T > 0:
         # snap the default down so T is a whole number of steps
         dt_default = T / int(np.ceil(T / dt_default - 1e-9))
     dt = _get(top, "dt", float, default=dt_default)
-    if dt <= 0:
-        raise ConfigError("dt must be positive, got %g" % dt)
     record_times = _get(top, "record_times", _float_list,
                         default=[T] if T > 0 else [])
     R_list = _get(top, "R_list", _float_list, default=[])
     region_kind = _get(top, "region_kind", str, default="ball")
-    if region_kind not in ("ball", "box"):
-        raise ConfigError("region_kind must be ball or box, got %r"
-                          % (region_kind,))
     n_replicas = _get(top, "n_replicas", int, default=100)
     seed = _get(top, "seed", int, default=0)
     lags = _get(top, "lags", _int_list, default=None)
@@ -228,11 +218,24 @@ def parse_config(text):
         T=T, dt=dt, record_times=record_times, R_list=R_list,
         region_kind=region_kind, n_replicas=n_replicas, seed=seed,
         lags=lags, y_list=y_list, p_moment=p_moment)
-    validate_config(cfg)
+    _validate(cfg)
     return cfg
 
 
-def validate_config(cfg):
+def _validate(cfg):
+    if cfg.kind not in KINDS:
+        raise ConfigError("unknown experiment kind %r (choose from %s)"
+                          % (cfg.kind, ", ".join(KINDS)))
+    if cfg.T < 0:
+        raise ConfigError("T must be nonnegative, got %g" % cfg.T)
+    if cfg.dt <= 0:
+        raise ConfigError("dt must be positive, got %g" % cfg.dt)
+    if cfg.region_kind not in ("ball", "box"):
+        raise ConfigError("region_kind must be ball or box, got %r"
+                          % (cfg.region_kind,))
+    # stream keys hold the seed in 64 bits; wider seeds would alias
+    if not 0 <= cfg.seed < 2**64:
+        raise ConfigError("seed must lie in [0, 2**64), got %d" % cfg.seed)
     needs_sim = cfg.kind in ("variance-limit", "clt", "fclt", "tightness",
                              "decay")
     if needs_sim:
@@ -261,10 +264,10 @@ def validate_config(cfg):
                           % (cfg.kind, need, cfg.n_replicas))
 
 
-def load_config(path):
+def load_config(path, overrides=None):
     try:
         with open(path, "r") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
-    return parse_config(text)
+    return parse_config(text, overrides)

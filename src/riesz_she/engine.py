@@ -164,6 +164,9 @@ def time_grid(T, dt, record_times):
         k = snap_to_grid(t, dt, "record time")
         if k > n_steps:
             raise ValueError("record time %r exceeds horizon %r" % (t, T))
+        if k in record_steps:
+            raise ValueError("record times %r and %r fall on one step"
+                             % (record_steps[k], t))
         record_steps[k] = t
     return n_steps, record_steps
 

@@ -93,10 +93,10 @@ def run_replicas(cfg, cov, workers=1):
              [rid for blk in blocks[i::n_chunks] for rid in blk],
              reducers, mean_fields)
             for i in range(n_chunks)]
-    if workers <= 1:
+    if n_chunks <= 1:
         parts = map(_run_chunk, args)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
             parts = list(pool.map(_run_chunk, args))
     trajs = [tr for part in parts for tr in part]
     trajs.sort(key=lambda tr: tr.replica_id)

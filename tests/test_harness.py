@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from riesz_she import DegenerateSigmaError, build_embedding, simulate
+from riesz_she import (DegenerateSigmaError, InstabilityError,
+                       build_embedding, simulate)
 from riesz_she.cli import main as cli_main
 from riesz_she.config import ConfigError, load_config, parse_config
 from riesz_she.observables import estimate_eta
-from riesz_she.runner import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_PASS,
-                              EXIT_STAT_FAIL, ResultSet, emit_results,
-                              run_experiment)
+from riesz_she.runner import (EXIT_CONFIG, EXIT_DEGENERATE,
+                              EXIT_INSTABILITY, EXIT_PASS, EXIT_STAT_FAIL,
+                              ResultSet, emit_results, run_experiment)
 from riesz_she.stats import StatsReport, correlation_decay_check
 
 MINIMAL = """
@@ -164,6 +165,22 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         == EXIT_CONFIG
     assert cli_main(["clt", "--config", str(degen)]) == EXIT_DEGENERATE
 
+    # usage errors are config errors, not argparse's exit 2; --help is 0
+    for argv in (["clt"], ["wavelet", "--config", str(good)],
+                 ["clt", "--config", str(good), "--workers", "x"]):
+        assert cli_main(argv) == EXIT_CONFIG
+    assert cli_main(["--help"]) == 0
+    capsys.readouterr()
+    # the overrides are parsed as config values, so a bad one names its key
+    assert cli_main(["clt", "--config", str(good), "--replicas", "abc"]) \
+        == EXIT_CONFIG
+    assert "'n_replicas'" in capsys.readouterr().err
+
+    def unstable_run(cfg, workers=1):
+        raise InstabilityError("blow-up")
+    monkeypatch.setattr("riesz_she.cli.run_experiment", unstable_run)
+    assert cli_main(["clt", "--config", str(good)]) == EXIT_INSTABILITY
+
     # statistical failure propagates as exit 1
     def fake_run(cfg, workers=1):
         rs = ResultSet(config=cfg)
@@ -188,6 +205,54 @@ def test_cli_seed_override_in_manifest(tmp_path):
     assert "seed = 123" in manifest["config"]
     assert sorted(manifest["files"]) == ["constants.csv", "reports.csv",
                                          "reports.json", "samples.csv"]
+
+
+@pytest.mark.parametrize("kind, text, extra", [
+    ("clt", MINIMAL.replace("n_replicas = 200", "n_replicas = 50"),
+     ["--replicas", "150"]),
+    ("clt", MINIMAL.replace("kind = clt", "kind = decay")
+     .replace("seed = 7", "seed = 7\nlags = 1"), []),
+    ("lemma31", MINIMAL.replace("n_replicas = 200", "n_replicas = 50")
+     .replace("seed = 7", "seed = 7\ny_list = 0.5, 1"), []),
+], ids=["replicas-override", "file-kind-decay", "file-kind-clt"])
+def test_cli_validates_the_run_it_makes(kind, text, extra, tmp_path):
+    # the file alone fails validation (too few replicas for its kind, a lag
+    # below 2h for decay); the run the command line asks for is valid
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(text)
+    with pytest.raises(ConfigError):
+        load_config(cfgfile)
+    outdir = tmp_path / "out"
+    code = cli_main([kind, "--config", str(cfgfile), "--out", str(outdir)]
+                    + extra)
+    assert code in (EXIT_PASS, EXIT_STAT_FAIL)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["config"].startswith("kind = %s\n" % kind)
+    if extra:
+        assert "n_replicas = 150" in manifest["config"]
+
+
+def test_seed_must_fit_the_stream_key(tmp_path):
+    # stream keys mask the seed to 64 bits: -1 would draw what 2**64 - 1
+    # draws, and 2**64 what 0 draws
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(MINIMAL.replace("seed = 7", "seed = %d" % seed))
+    assert parse_config(MINIMAL.replace("seed = 7", "seed = %d"
+                                        % (2 ** 64 - 1))).seed == 2 ** 64 - 1
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(CONSTANTS_CFG)
+    assert cli_main(["constants", "--config", str(cfgfile),
+                     "--seed", "-1"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("times", ["0.02, 0.04, 0.04",
+                                   "0.02, 0.04, 0.0400000001"])
+def test_record_times_on_one_step_are_a_config_error(times, tmp_path):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(MINIMAL.replace("seed = 7",
+                                       "seed = 7\nrecord_times = " + times))
+    assert cli_main(["fclt", "--config", str(cfgfile)]) == EXIT_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +320,38 @@ def test_worker_count_does_not_change_results_across_blocks(tmp_path):
     for name in ("samples.csv", "reports.csv", "reports.json"):
         assert (tmp_path / "w1" / name).read_bytes() == \
             (tmp_path / "w2" / name).read_bytes()
+
+
+def test_pool_has_one_worker_per_chunk(monkeypatch):
+    # n=1024 cells give blocks of 32 replicas, so 120 replicas are 4
+    # chunks; a fake pool records its size and maps in this process
+    from riesz_she import runner
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", FakePool)
+    for n, want in (("1024", [4]), ("32", [])):
+        cfg = parse_config(MINIMAL.replace("n = 32", "n = " + n)
+                           .replace("n_replicas = 200", "n_replicas = 120"))
+        cov = build_embedding(cfg.lattice, cfg.spec)
+        serial = runner.run_replicas(cfg, cov, workers=1)
+        pooled = runner.run_replicas(cfg, cov, workers=16)
+        assert sizes == want
+        assert [tr.region_averages for tr in pooled] == \
+            [tr.region_averages for tr in serial]
+        sizes.clear()
 
 
 D2_DECAY = MINIMAL.replace("kind = clt", "kind = decay") \
