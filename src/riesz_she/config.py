@@ -64,6 +64,13 @@ def _get(sec, key, conv, default=None, required=False):
                           % (key, sec[key], exc))
 
 
+def _finite(s):
+    v = float(s)
+    if not np.isfinite(v):
+        raise ValueError("not a finite number")
+    return v
+
+
 def _float_list(s):
     return [float(v) for v in s.split(",") if v.strip() != ""]
 
@@ -184,7 +191,7 @@ def parse_config(text, overrides=None):
     d = _get(top, "d", int, required=True)
     beta = _get(top, "beta", float, required=True)
     n = _get(lat_sec, "n", int, required=True)
-    L = _get(lat_sec, "L", float, required=True)
+    L = _get(lat_sec, "L", _finite, required=True)
     try:
         spec = RieszSpec(d=d, beta=beta)
         lattice = Lattice(d=d, n=n, L=L)
@@ -197,12 +204,12 @@ def parse_config(text, overrides=None):
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    T = _get(top, "T", float, default=0.0)
+    T = _get(top, "T", _finite, default=0.0)
     dt_default = lattice.h ** 2 / 4.0
     if T > 0:
         # snap the default down so T is a whole number of steps
         dt_default = T / int(np.ceil(T / dt_default - 1e-9))
-    dt = _get(top, "dt", float, default=dt_default)
+    dt = _get(top, "dt", _finite, default=dt_default)
     record_times = _get(top, "record_times", _float_list,
                         default=[T] if T > 0 else [])
     R_list = _get(top, "R_list", _float_list, default=[])
@@ -245,6 +252,8 @@ def _validate(cfg):
             raise ConfigError("R_list is required for kind %r" % (cfg.kind,))
         try:
             time_grid(cfg.T, cfg.dt, cfg.record_times)
+            for reg in cfg.regions:
+                reg.cells(cfg.lattice)
             check_margin(cfg.lattice, cfg.regions, cfg.T)
             if cfg.kind == "decay":
                 lag_distances(cfg.lag_cells, cfg.lattice)
@@ -254,8 +263,9 @@ def _validate(cfg):
         raise ConfigError("fclt needs at least two record times")
     if cfg.kind == "tightness" and len(cfg.record_times) < 5:
         raise ConfigError("tightness needs a base time plus >= 4 gap times")
-    if cfg.kind == "lemma31" and not cfg.y_list:
-        raise ConfigError("lemma31 needs y_list")
+    if cfg.kind == "lemma31" and not (
+            cfg.y_list and all(0 < abs(y) < np.inf for y in cfg.y_list)):
+        raise ConfigError("lemma31 needs y_list of nonzero finite values")
     need = MIN_REPLICAS.get(cfg.kind, 1)
     if cfg.kind in ("variance-limit", "fclt") and cfg.eta_exact:
         need = 2 if cfg.kind == "variance-limit" else len(cfg.record_times) + 1

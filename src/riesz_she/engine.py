@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import observables
 from .noise import SpatialField, checked_field, sample_slice
 from .streams import stream_for
 
@@ -175,11 +176,9 @@ def check_margin(lattice, regions, T):
     """Torus must leave a 6*sqrt(T) collar outside every region."""
     collar = 6.0 * np.sqrt(T)
     for reg in regions:
-        center = reg.resolved_center(lattice.d)
-        reach = float(np.max(np.abs(center)) + reg.radius)
-        if lattice.L < reach - 1e-12 + collar:
+        if lattice.L < reg.radius - 1e-12 + collar:
             raise ValueError("L=%g < R_max+6*sqrt(T)=%g"
-                             % (lattice.L, reach + collar))
+                             % (lattice.L, reg.radius + collar))
 
 
 def mean_field(init, t, lattice):
@@ -218,8 +217,7 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
     if mean_fields is None:
         mean_fields = {t: mean_field(init, t, lat) for t in record_times}
     cells = [reg.cells(lat) for reg in regions]
-    # in-region mean values per (record step, region); each region sum
-    # subtracts them and reduces one row at a time, as region_average does
+    # in-region mean values per (record step, region)
     means = {k: [mean_fields[t].values.reshape(-1)[idx] for idx in cells]
              for k, t in record_steps.items()}
     mult = _heat_multiplier(lat, dt)
@@ -232,9 +230,11 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
         t = record_steps[state.step_index]
         flat = state.field.values.reshape(len(block), -1)
         for r, idx in enumerate(cells):
-            diff = flat[:, idx] - means[state.step_index][r]
-            for tr, row in zip(block, diff):
-                tr.region_averages[(t, r)] = float(lat.cell_volume * row.sum())
+            # looked up on the module, where perfbench traces the layer
+            averages = observables.region_average(
+                flat, idx, means[state.step_index][r], lat.cell_volume)
+            for tr, g in zip(block, averages):
+                tr.region_averages[(t, r)] = g
         reducer = reducers.get(t)
         if reducer is not None:
             for tr, values in zip(block, state.field.values):

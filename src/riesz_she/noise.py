@@ -12,6 +12,8 @@ import numpy as np
 
 # covariance_diagnostic flags a lag whose empirical/target ratio leaves this
 COVARIANCE_BAND = (0.9, 1.1)
+# build_embedding refuses a spectrum whose negative modes carry this share
+CLAMP_BUDGET = 0.01
 
 
 class EmbeddingError(Exception):
@@ -171,7 +173,7 @@ class SpectralCovariance:
     clamped_mass: float
 
 
-def build_embedding(lattice, spec, clamp_budget=0.01):
+def build_embedding(lattice, spec):
     """Diagonalize the periodic cell covariance; clamp tiny negative modes."""
     if lattice.d != spec.d:
         raise ValueError("lattice dimension %d != spec dimension %d"
@@ -184,10 +186,10 @@ def build_embedding(lattice, spec, clamp_budget=0.01):
     lam = np.fft.fftn(row).real
     neg = lam < 0
     clamped_mass = float(np.abs(lam[neg]).sum() / np.abs(lam).sum())
-    if clamped_mass >= clamp_budget:
+    if clamped_mass >= CLAMP_BUDGET:
         raise EmbeddingError(
             "embedding not approximately nonnegative; refine lattice "
-            "(clamped mass %.3g >= %.3g)" % (clamped_mass, clamp_budget))
+            "(clamped mass %.3g >= %.3g)" % (clamped_mass, CLAMP_BUDGET))
     lam = np.where(neg, 0.0, lam)
     half = np.sqrt(lam[..., : lattice.n // 2 + 1])
     return SpectralCovariance(lattice=lattice, spec=spec, row=row,
@@ -195,22 +197,17 @@ def build_embedding(lattice, spec, clamp_budget=0.01):
                               clamped_mass=clamped_mass)
 
 
-def sample_slice(cov, dt, stream):
+def sample_slice(cov, dt, w):
     """One centered Gaussian slice with Cov(v_i, v_j) = dt * row[i-j].
 
-    Colors white noise through the real symmetric square root of the
-    circulant, so the covariance is exact (up to the recorded clamping).
-    stream is a Generator to draw the white noise from, or white noise
-    already drawn: one grid, or a (B, *grid) block, colored with one FFT
-    pair over its last d axes.
+    Colors the standard normals w through the real symmetric square root of
+    the circulant, so the covariance is exact (up to the recorded clamping).
+    w is one grid, or a (B, *grid) block colored with one FFT pair over its
+    last d axes.
     """
     if dt <= 0:
         raise ValueError("dt must be positive, got %r" % (dt,))
     lat = cov.lattice
-    if isinstance(stream, np.ndarray):
-        w = stream
-    else:
-        w = stream.standard_normal(lat.shape)
     axes = tuple(range(w.ndim - lat.d, w.ndim))
     spec_w = np.fft.rfftn(w, axes=axes)
     spec_w *= cov.sqrt_eig_half

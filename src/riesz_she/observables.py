@@ -16,38 +16,26 @@ from .noise import cube_pair_integral
 
 @dataclass(frozen=True)
 class Region:
-    """Ball {|x-c| <= R} or box {max|x_i - c_i| <= R}."""
+    """Ball {|x| <= R} or box {max|x_i| <= R}, centered at the origin."""
     kind: str  # "ball" | "box"
     radius: float
-    center: tuple = None
 
     def __post_init__(self):
         if self.kind not in ("ball", "box"):
             raise ValueError("region kind must be ball or box, got %r"
                              % (self.kind,))
-        if self.radius <= 0:
+        if not self.radius > 0:  # also rejects nan
             raise ValueError("region size must be positive, got %r"
                              % (self.radius,))
 
-    def resolved_center(self, d):
-        if self.center is None:
-            return np.zeros(d)
-        c = np.asarray(self.center, dtype=np.float64)
-        if c.shape != (d,):
-            raise ValueError("center %r has wrong dimension" % (self.center,))
-        return c
-
     def mask(self, lattice):
         """Boolean grid of cell centers inside the region."""
-        c = self.resolved_center(lattice.d)
         grids = lattice.center_grids()
         if self.kind == "ball":
-            dist2 = sum((g - ci) ** 2 for g, ci in zip(grids, c))
-            return dist2 <= self.radius ** 2
-        inside = None
-        for g, ci in zip(grids, c):
-            cond = np.abs(g - ci) <= self.radius
-            inside = cond if inside is None else (inside & cond)
+            return sum(g ** 2 for g in grids) <= self.radius ** 2
+        inside = True
+        for g in grids:
+            inside = inside & (np.abs(g) <= self.radius)
         return np.broadcast_to(inside, lattice.shape)
 
     def cells(self, lattice):
@@ -59,13 +47,13 @@ class Region:
         return idx
 
 
-def region_average(field_in, region, mean_field_in):
-    """h^d * sum over in-region cells of (field - mean field)."""
-    lat = field_in.lattice
-    idx = region.cells(lat)
-    diff = (field_in.values.reshape(-1)[idx]
-            - mean_field_in.values.reshape(-1)[idx])
-    return float(lat.cell_volume * diff.sum())
+def region_average(flat, idx, mean_in_region, cell_volume):
+    """h^d * sum over in-region cells of (field - mean field), one float per
+    row of a (B, n_cells) block of flattened fields. idx holds the region's
+    flat cell indices and mean_in_region the mean field at them. Each row is
+    summed alone, so no value depends on B."""
+    diff = flat[:, idx] - mean_in_region
+    return [float(cell_volume * row.sum()) for row in diff]
 
 
 def ball_pair_integral(d, beta):

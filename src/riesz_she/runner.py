@@ -25,7 +25,7 @@ from .stats import (KS_FLOOR_1PCT, StatsReport,
                     correlation_decay_check, functional_cov_check,
                     increment_moment_fit, increment_r_scaling, ks_distance,
                     lemma31_check, rate_fit, scaling_fit, sigma_lag_means,
-                    standardize)
+                    standardize, variance_stderr)
 from .streams import stream_for
 
 EXIT_PASS = 0
@@ -144,7 +144,8 @@ def _limit_constants(cfg, rs):
 
 def _run_noise_validate(cfg, workers):
     cov = build_embedding(cfg.lattice, cfg.spec)
-    slices = (sample_slice(cov, cfg.dt, stream_for(cfg.seed, i, 0))
+    slices = (sample_slice(cov, cfg.dt, stream_for(cfg.seed, i, 0)
+                           .standard_normal(cfg.lattice.shape))
               for i in range(cfg.n_replicas))
     rs = ResultSet(config=cfg)
     for row in covariance_diagnostic(slices, cfg.lag_cells, cfg.spec, cfg.dt):
@@ -182,7 +183,7 @@ def _run_variance_limit(cfg, workers):
             params={"R": R, "t": t},
             estimate=norm_var, target=target, tolerance=0.15 * target,
             passed=(R != max(cfg.R_list)) or rel <= 0.15,
-            stderr=float(norm_var * np.sqrt(2.0 / (len(g) - 1))),
+            stderr=variance_stderr(g) * R ** (beta - 2 * d),
             note="pass rule binds at largest R only"))
     R_lo, R_hi = min(cfg.R_list), max(cfg.R_list)
     rs.reports.append(StatsReport(

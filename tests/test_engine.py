@@ -13,6 +13,11 @@ from riesz_she.stats import sigma_lag_means
 from riesz_she.streams import stream_for
 
 
+def normals(lat, seed, replica_id, step_index):
+    """The standard normals drawn for one (seed, replica, step) slice."""
+    return stream_for(seed, replica_id, step_index).standard_normal(lat.shape)
+
+
 @pytest.fixture(scope="module")
 def small_setup():
     lat = Lattice(d=1, n=64, L=8.0)
@@ -87,7 +92,7 @@ def test_step_zero_sigma_keeps_constant(small_setup):
     sigma = NonlinearitySpec("affine", a=0.0, b=0.0)
     state = FieldState(SpatialField(lat, np.ones(lat.shape)), 0, 0.01)
     for k in range(10):
-        sl = sample_slice(cov, 0.01, stream_for(1, 0, k))
+        sl = sample_slice(cov, 0.01, normals(lat, 1, 0, k))
         state = step(state, sl, sigma, 0.01)
     assert np.allclose(state.values if hasattr(state, "values")
                        else state.field.values, 1.0, atol=1e-12)
@@ -100,7 +105,7 @@ def test_step_degenerate_sigma_is_exact(small_setup):
     sigma = NonlinearitySpec("affine", a=1.0, b=-1.0)  # sigma(1) = 0
     state = FieldState(SpatialField(lat, np.ones(lat.shape)), 0, 0.01)
     for k in range(20):
-        sl = sample_slice(cov, 0.01, stream_for(2, 0, k))
+        sl = sample_slice(cov, 0.01, normals(lat, 2, 0, k))
         state = step(state, sl, sigma, 0.01)
     assert np.array_equal(state.field.values, np.ones(lat.shape))
 
@@ -113,7 +118,7 @@ def test_step_mean_stays_one_linear(small_setup):
     for rid in range(500):
         state = FieldState(SpatialField(lat, np.ones(lat.shape)), 0, dt)
         for k in range(10):
-            sl = sample_slice(cov, dt, stream_for(3, rid, k))
+            sl = sample_slice(cov, dt, normals(lat, 3, rid, k))
             state = step(state, sl, sigma, dt)
         means.append(state.field.values.mean())
     means = np.array(means)
@@ -210,7 +215,7 @@ def test_weak_comparison_coupled_noise(small_setup):
         lo = FieldState(SpatialField(lat, np.full(lat.shape, 0.5)), 0, dt)
         hi = FieldState(SpatialField(lat, np.full(lat.shape, 2.0)), 0, dt)
         for k in range(40):
-            sl = sample_slice(cov, dt, stream_for(77, rid, k))
+            sl = sample_slice(cov, dt, normals(lat, 77, rid, k))
             lo = step(lo, sl, sigma, dt)
             hi = step(hi, sl, sigma, dt)
             assert np.all(lo.field.values <= hi.field.values + 1e-9)
@@ -225,7 +230,7 @@ def test_stationarity_proxy(small_setup):
     for rid in range(400):
         state = FieldState(SpatialField(lat, np.ones(lat.shape)), 0, dt)
         for k in range(20):
-            sl = sample_slice(cov, dt, stream_for(13, rid, k))
+            sl = sample_slice(cov, dt, normals(lat, 13, rid, k))
             state = step(state, sl, sigma, dt)
         fields.append(state.field.values)
     stack = np.stack(fields)
@@ -243,7 +248,7 @@ def test_fourth_moment_stable_under_dt_halving(small_setup):
         for rid in range(400):
             state = FieldState(SpatialField(lat, np.ones(lat.shape)), 0, dt)
             for k in range(n_steps):
-                sl = sample_slice(cov, dt, stream_for(seed, rid, k))
+                sl = sample_slice(cov, dt, normals(lat, seed, rid, k))
                 state = step(state, sl, sigma, dt)
             # stationarity: average the moment over cells as well
             vals.append(np.mean(state.field.values ** 4))

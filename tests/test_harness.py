@@ -255,6 +255,41 @@ def test_record_times_on_one_step_are_a_config_error(times, tmp_path):
     assert cli_main(["fclt", "--config", str(cfgfile)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("r_list", ["0.1, 1", "0.5, nan"])
+def test_region_without_a_cell_is_a_config_error(r_list, tmp_path):
+    # h/2 = 0.125: R = 0.1 holds no cell center, and nan is no radius
+    text = MINIMAL.replace("R_list = 0.5, 1, 2", "R_list = " + r_list)
+    with pytest.raises(ConfigError, match="no cell centers|positive"):
+        parse_config(text)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(text)
+    assert cli_main(["clt", "--config", str(cfgfile)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, line, kind", [
+    ("T", "T = inf", "clt"),
+    ("L", "L = nan", "clt"),
+    ("L", "L = inf", "clt"),
+    ("dt", "dt = nan", "noise-validate"),
+])
+def test_non_finite_T_L_or_dt_is_a_config_error(key, line, kind, tmp_path):
+    text = "\n".join(line if ln.startswith(key + " =") else ln
+                     for ln in MINIMAL.splitlines())
+    with pytest.raises(ConfigError, match="key '%s'.*not a finite" % key):
+        parse_config(text)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(text)
+    assert cli_main([kind, "--config", str(cfgfile)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("y_list", ["0", "0.5, nan", "inf"])
+def test_lemma31_y_without_a_length_is_a_config_error(y_list, tmp_path):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(MINIMAL.replace("seed = 7",
+                                       "seed = 7\ny_list = " + y_list))
+    assert cli_main(["lemma31", "--config", str(cfgfile)]) == EXIT_CONFIG
+
+
 @pytest.fixture(scope="module")
 def clt_result():
     cfg = parse_config(MINIMAL)

@@ -3,8 +3,14 @@ import pytest
 
 from riesz_she import (Lattice, RieszSpec, build_embedding, cell_self_energy,
                        covariance_diagnostic, sample_slice)
+from riesz_she import noise
 from riesz_she.noise import EmbeddingError
 from riesz_she.streams import stream_for
+
+
+def normals(lat, seed, replica_id, step_index):
+    """The standard normals drawn for one (seed, replica, step) slice."""
+    return stream_for(seed, replica_id, step_index).standard_normal(lat.shape)
 
 
 def test_spec_rejects_bad_beta():
@@ -61,10 +67,12 @@ def test_embedding_eigen_symmetry_and_trace():
     assert 0.0 <= cov.clamped_mass < 0.01
 
 
-def test_embedding_clamp_budget_error_path():
+def test_embedding_clamp_budget_error_path(monkeypatch):
+    # no budget at all: any clamped mass, even 0, is refused
     lat = Lattice(d=1, n=64, L=8.0)
+    monkeypatch.setattr(noise, "CLAMP_BUDGET", 0.0)
     with pytest.raises(EmbeddingError, match="refine lattice"):
-        build_embedding(lat, RieszSpec(1, 0.5), clamp_budget=0.0)
+        build_embedding(lat, RieszSpec(1, 0.5))
 
 
 def test_embedding_dimension_mismatch():
@@ -79,7 +87,8 @@ def slices_1d():
     spec = RieszSpec(1, 0.5)
     cov = build_embedding(lat, spec)
     dt = 0.01
-    slices = [sample_slice(cov, dt, stream_for(11, i, 0)) for i in range(10_000)]
+    slices = [sample_slice(cov, dt, normals(lat, 11, i, 0))
+              for i in range(10_000)]
     return lat, spec, cov, dt, slices
 
 
@@ -113,8 +122,8 @@ def test_covariance_diagnostic_band(slices_1d):
 
 def test_covariance_diagnostic_determinism(slices_1d):
     lat, spec, cov, dt, _ = slices_1d
-    a = [sample_slice(cov, dt, stream_for(5, i, 0)) for i in range(200)]
-    b = [sample_slice(cov, dt, stream_for(5, i, 0)) for i in range(200)]
+    a = [sample_slice(cov, dt, normals(lat, 5, i, 0)) for i in range(200)]
+    b = [sample_slice(cov, dt, normals(lat, 5, i, 0)) for i in range(200)]
     ra = covariance_diagnostic(a, [(0,), (3,)], spec, dt)
     rb = covariance_diagnostic(b, [(0,), (3,)], spec, dt)
     for x, y in zip(ra, rb):
@@ -131,9 +140,9 @@ def test_covariance_diagnostic_errors(slices_1d):
 
 def test_dt_scaling_is_exact_per_stream(slices_1d):
     lat, spec, cov, dt, _ = slices_1d
-    a = np.stack([sample_slice(cov, dt, stream_for(3, i, 0)).values
+    a = np.stack([sample_slice(cov, dt, normals(lat, 3, i, 0)).values
                   for i in range(500)])
-    b = np.stack([sample_slice(cov, 2 * dt, stream_for(3, i, 0)).values
+    b = np.stack([sample_slice(cov, 2 * dt, normals(lat, 3, i, 0)).values
                   for i in range(500)])
     # same stream: doubling dt scales every slice by sqrt(2), so every
     # empirical second moment doubles
@@ -146,7 +155,7 @@ def test_isotropy_d2():
     spec = RieszSpec(2, 1.0)
     cov = build_embedding(lat, spec)
     dt = 0.01
-    vals = np.stack([sample_slice(cov, dt, stream_for(21, i, 0)).values
+    vals = np.stack([sample_slice(cov, dt, normals(lat, 21, i, 0)).values
                      for i in range(3000)])
     def lag_cov(la, lb):
         prod = (vals * np.roll(vals, (la, lb), axis=(1, 2))).mean(axis=(1, 2))
@@ -160,4 +169,4 @@ def test_isotropy_d2():
 def test_sample_slice_rejects_bad_dt(slices_1d):
     lat, spec, cov, dt, _ = slices_1d
     with pytest.raises(ValueError):
-        sample_slice(cov, 0.0, stream_for(0, 0, 0))
+        sample_slice(cov, 0.0, normals(lat, 0, 0, 0))

@@ -17,24 +17,33 @@ def const_field(lat, c):
     return SpatialField(lat, np.full(lat.shape, c))
 
 
+def average(field_in, region, mean_field_in):
+    """region_average of one field, as a block of one row."""
+    lat = field_in.lattice
+    idx = region.cells(lat)
+    return region_average(field_in.values.reshape(1, -1), idx,
+                          mean_field_in.values.reshape(-1)[idx],
+                          lat.cell_volume)[0]
+
+
 def test_region_average_zero_for_mean():
     lat = Lattice(1, 64, 8.0)
-    assert region_average(const_field(lat, 1.0), Region("ball", 3.0),
-                          const_field(lat, 1.0)) == 0.0
+    assert average(const_field(lat, 1.0), Region("ball", 3.0),
+                   const_field(lat, 1.0)) == 0.0
 
 
 def test_region_average_d1_interval():
     lat = Lattice(1, 64, 8.0)  # h = 0.25
-    val = region_average(const_field(lat, 2.0), Region("ball", 1.0),
-                         const_field(lat, 1.0))
+    val = average(const_field(lat, 2.0), Region("ball", 1.0),
+                  const_field(lat, 1.0))
     assert abs(val - 2.0) <= 0.25  # |B_1| = 2 up to one cell volume
 
 
 def test_region_average_d2_disk_area():
     for n, L in ((128, 6.4), (256, 6.4)):  # h = 0.1, 0.05
         lat = Lattice(2, n, L)
-        val = region_average(const_field(lat, 2.0), Region("ball", 1.0),
-                             const_field(lat, 1.0))
+        val = average(const_field(lat, 2.0), Region("ball", 1.0),
+                      const_field(lat, 1.0))
         assert abs(val - np.pi) <= 3 * lat.h
 
 
@@ -45,8 +54,7 @@ def test_region_average_quadrature_convergence():
         lat = Lattice(1, n, 8.0)
         x = lat.axis_centers()
         f = SpatialField(lat, np.cos(x))
-        results[n] = region_average(f, Region("ball", 2.0),
-                                    const_field(lat, 0.0))
+        results[n] = average(f, Region("ball", 2.0), const_field(lat, 0.0))
     exact = 2 * np.sin(2.0)
     h64 = 16.0 / 64
     assert abs(results[64] - results[128]) <= 2.0 * h64
@@ -56,8 +64,25 @@ def test_region_average_quadrature_convergence():
 def test_region_average_empty_region():
     lat = Lattice(1, 16, 8.0)  # h = 1, centers at +-0.5, ...
     with pytest.raises(ValueError, match="no cell centers"):
-        region_average(const_field(lat, 1.0), Region("ball", 0.2),
-                       const_field(lat, 0.0))
+        average(const_field(lat, 1.0), Region("ball", 0.2),
+                const_field(lat, 0.0))
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+def test_region_rejects_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ValueError, match="must be positive"):
+        Region("ball", radius)
+
+
+def test_region_average_rows_do_not_depend_on_the_block():
+    # each row of a block sums to the same float as that row alone
+    lat = Lattice(2, 32, 4.0)
+    idx = Region("ball", 2.0).cells(lat)
+    flat = np.random.default_rng(3).standard_normal((7, lat.n_cells))
+    mean = np.linspace(0.0, 1.0, idx.size)
+    block = region_average(flat, idx, mean, lat.cell_volume)
+    assert block == [region_average(flat[i:i + 1], idx, mean,
+                                    lat.cell_volume)[0] for i in range(7)]
 
 
 def test_region_box_mask_d2():
@@ -218,18 +243,26 @@ def test_estimate_eta_needs_replicas(window_mean_run):
 
 
 def test_translated_region_variance_invariance():
+    # the region sum of the field rolled by 12 cells is that of the ball
+    # centered at x = 12 h = 3; the noise is stationary, so its variance is
+    # that of the ball at the origin
     lat = Lattice(1, 64, 8.0)
     spec = RieszSpec(1, 0.5)
     cov = build_embedding(lat, spec)
     init = InitialCondition("constant", value=1.0)
     sigma = NonlinearitySpec("linear")
     T, dt = 0.1, 0.0125
-    regions = [Region("ball", 2.0), Region("ball", 2.0, center=(3.0,))]
+    region = Region("ball", 2.0)
+    idx = region.cells(lat)
+
+    def translated(values):
+        return lat.cell_volume * np.roll(values, -12)[idx].sum()
+
     g0, g1 = [], []
-    for tr in simulate(cov, sigma, init, T, dt, [T], regions, seed=55,
-                       replica_ids=range(600)):
+    for tr in simulate(cov, sigma, init, T, dt, [T], [region], seed=55,
+                       replica_ids=range(600), reducers={T: translated}):
         g0.append(tr.region_averages[(T, 0)])
-        g1.append(tr.region_averages[(T, 1)])
+        g1.append(tr.reduced[T])
     v0, v1 = np.var(g0, ddof=1), np.var(g1, ddof=1)
     # variance of a variance estimate: rel se ~ sqrt(2/N) ~ 6%
     assert abs(np.log(v1 / v0)) < 4 * np.sqrt(2 / 599) * np.sqrt(2)

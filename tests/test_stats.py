@@ -14,8 +14,14 @@ from riesz_she.stats import (KS_FLOOR_1PCT, StatsReport,
                              correlation_decay_check, functional_cov_check,
                              increment_moment_fit, increment_r_scaling,
                              ks_distance, lemma31_check, rate_fit,
-                             scaling_fit, sigma_lag_means, standardize)
+                             scaling_fit, sigma_lag_means, standardize,
+                             variance_stderr)
 from riesz_she.streams import stream_for
+
+
+def normals(lat, seed, replica_id, step_index):
+    """The standard normals drawn for one (seed, replica, step) slice."""
+    return stream_for(seed, replica_id, step_index).standard_normal(lat.shape)
 
 K_BETA_HALF = 2 ** 2.5 / 0.75
 
@@ -111,9 +117,24 @@ def test_rate_fit_exact_and_floor():
     with pytest.warns(UserWarning, match="statistical floor"):
         slope2, se2, excluded2 = rate_fit(pairs_floored, n_replicas=4000)
     assert excluded2 == [(16.0, 0.01)]
-    assert np.isnan(se2)  # two-point fit has no slope stderr
+    # two points go through _linfit like any other fit, and leave no
+    # residual, so the slope has no stderr
+    assert slope2 == _linfit(np.log([4.0, 8.0]),
+                             np.log([pairs[0][1], pairs[1][1]]))[0]
+    assert np.isnan(se2)
     with pytest.raises(ValueError, match="fewer than 2"):
         rate_fit([(4.0, 0.001), (8.0, 0.001)], n_replicas=4000)
+
+
+def test_variance_stderr_by_hand():
+    # g = (0, 0, 0, 4): mean 1, squared deviations (1, 1, 1, 9) with mean 3
+    # and sd (ddof=1) sqrt((4 + 4 + 4 + 36) / 3) = 4, so 4 / sqrt(4) = 2;
+    # the Gaussian formula var * sqrt(2/(N-1)) gives 4 * 0.816 = 3.27
+    assert variance_stderr([0.0, 0.0, 0.0, 4.0]) == 2.0
+    # skewed: (0, 0, 0, 0, 0, 6) has mean 1, deviations^2 (1, 1, 1, 1, 1,
+    # 25), their mean 5 and sd sqrt((5 * 16 + 400) / 5) = sqrt(96)
+    assert variance_stderr([0.0] * 5 + [6.0]) == \
+        pytest.approx(np.sqrt(96.0) / np.sqrt(6.0), rel=1e-15)
 
 
 def test_increment_moment_fit_brownian():
@@ -186,7 +207,7 @@ def test_correlation_decay_on_noise_slices():
     spec = RieszSpec(1, 0.5)
     cov = build_embedding(lat, spec)
     lags = [4, 6, 8, 12, 16]
-    lag_means = [sigma_lag_means(sample_slice(cov, 1.0, stream_for(17, i, 0))
+    lag_means = [sigma_lag_means(sample_slice(cov, 1.0, normals(lat, 17, i, 0))
                                  .values, NonlinearitySpec("linear"), lags)
                  for i in range(2000)]
     rep, rows = correlation_decay_check(lag_means, lags, lat, spec.beta)
@@ -224,15 +245,27 @@ def test_lemma31_frozen_reference():
 
 
 def test_lemma31_scale_invariance():
-    # the ratio sup is invariant under y -> 2y by scaling s -> 4s
-    rep = lemma31_check(RieszSpec(1, 0.5), [2.0],
-                        s_grid=np.logspace(-3, 3, 61) * 4.0)
-    assert rep.estimate == pytest.approx(1.3743, abs=0.002)
+    # the s grid scales with |y|^2, so every y reports the sup of y = 1;
+    # y = 0.01 and 100 were outside a fixed grid's reach
+    unit = lemma31_check(RieszSpec(1, 0.5), [1.0]).estimate
+    g = np.logspace(-3, 3, 61)
+    peak = g[np.argmax(_gaussian_smoothed_kernel(1.0, g, 0.5, 1))]
+    for y in (0.01, 0.5, 2.0, 100.0):
+        rep = lemma31_check(RieszSpec(1, 0.5), [y])
+        assert rep.passed
+        assert rep.estimate == unit
+        assert "small-s ratio 1.000" in rep.note
+        # independent check of the scaling: quadrature at |y| = y, at the
+        # grid point of the sup, s = y^2 * g
+        assert _quad_kernel_1d(y, y * y * peak, 0.5) * y ** 0.5 == \
+            pytest.approx(unit, rel=1e-7)
 
 
 def test_lemma31_rejects_origin():
-    with pytest.raises(ValueError, match="nonzero"):
-        lemma31_check(RieszSpec(1, 0.5), [0.0])
+    # and a y with no length: its ratios would be those of |y| = 1
+    for y in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="nonzero and finite"):
+            lemma31_check(RieszSpec(1, 0.5), [y])
 
 
 def _quad_kernel_1d(y, s, beta):
