@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import observables
-from .noise import SpatialField, checked_field, sample_slice
+from .noise import (SpatialField, checked_field, sample_slice,
+                    spectral_multiply)
 from .streams import stream_for
 
 
@@ -101,21 +102,14 @@ class Trajectory:
     fields_at_times: dict = field(default_factory=dict)  # empty; perfbench reads it
 
 
-def _heat_multiplier(lattice, tau):
+def heat_multiplier(lattice, tau):
+    """Heat symbol exp(-|xi|^2 tau / 2) on the rfft half-spectrum."""
     freqs = [2.0 * np.pi * np.fft.fftfreq(lattice.n, d=lattice.h)
              for _ in range(lattice.d - 1)]
     freqs.append(2.0 * np.pi * np.fft.rfftfreq(lattice.n, d=lattice.h))
     grids = np.meshgrid(*freqs, indexing="ij", sparse=True)
     xi2 = sum(g ** 2 for g in grids)
     return np.exp(-0.5 * xi2 * tau)
-
-
-def _apply_multiplier(values, mult, lattice):
-    """Spectral multiply over the last d axes of a grid or a block of grids."""
-    axes = tuple(range(values.ndim - lattice.d, values.ndim))
-    spec = np.fft.rfftn(values, axes=axes)
-    spec *= mult
-    return np.fft.irfftn(spec, s=lattice.shape, axes=axes)
 
 
 def heat_semigroup(field_in, tau):
@@ -125,28 +119,29 @@ def heat_semigroup(field_in, tau):
     if tau == 0:
         return SpatialField(field_in.lattice, field_in.values.copy())
     lat = field_in.lattice
-    return SpatialField(lat, _apply_multiplier(
-        field_in.values, _heat_multiplier(lat, tau), lat))
+    return SpatialField(lat, spectral_multiply(field_in.values,
+                                               heat_multiplier(lat, tau)))
 
 
-def step(state, slice_field, sigma, dt, _mult=None):
+def step(state, slice_field, sigma, mult, kick=None, spec=None):
     """One exponential-Euler step of one field or of a (B, *grid) block of
-    fields; raises on blow-up, naming the first failing row of a block."""
+    fields, in place: the new field overwrites state.field.values.
+
+    mult is heat_multiplier(lattice, state.dt). The kick u + sigma(u) dW is
+    written into kick and its spectrum into spec (spectral_multiply).
+    Raises on blow-up, naming the first failing row of a block.
+    """
     lat = state.field.lattice
-    if _mult is None:
-        _mult = _heat_multiplier(lat, dt)
     u = state.field.values
-    kick = sigma(u) * slice_field.values
+    kick = np.multiply(sigma(u), slice_field.values, out=kick)
     kick += u
-    out = _apply_multiplier(kick, _mult, lat)
-    if not np.isfinite(out).all():
-        rows_ok = np.isfinite(out.reshape(-1, lat.n_cells)).all(axis=1)
+    spectral_multiply(kick, mult, u, spec)
+    state.step_index += 1
+    if not np.isfinite(u).all():
+        rows_ok = np.isfinite(u.reshape(-1, lat.n_cells)).all(axis=1)
         raise InstabilityError(
             "blow-up/instability at step %d (t=%g); reduce dt or amplitude"
-            % (state.step_index + 1, (state.step_index + 1) * dt),
-            row=int(np.argmin(rows_ok)))
-    return FieldState(field=checked_field(lat, out),
-                      step_index=state.step_index + 1, dt=dt)
+            % (state.step_index, state.time), row=int(np.argmin(rows_ok)))
 
 
 def snap_to_grid(t, dt, what="time"):
@@ -198,29 +193,28 @@ def block_size(lattice):
 
 
 def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
-             replica_ids, reducers=None, mean_fields=None):
+             replica_ids, mean_fields, reducers=None):
     """Run replicas from 0 to T and record region averages; one Trajectory
     per id, in the order given.
 
     The ids are stepped in consecutive blocks of block_size(lattice), one
-    (B, *grid) array per block. Each step, row i draws its slice from the
-    stream keyed by (seed, replica id, step_index). reducers maps a record
-    time to a picklable function of one grid, which then maps each row to
-    the numbers a statistic needs, kept in Trajectory.reduced. mean_fields
-    maps record time to the precomputed deterministic mean (heat flow of
-    the initial condition); it is computed here when absent.
+    (B, *grid) array per block, and every step of a block writes into the
+    same arrays. Row i draws each step's n^d normals, in turn, from the one
+    stream keyed by (seed, replica id). mean_fields maps record time to the
+    deterministic mean (heat flow of the initial condition). reducers maps
+    a record time to a picklable function of one grid, which then maps each
+    row to the numbers a statistic needs, kept in Trajectory.reduced; the
+    grid it sees is a view of a reused buffer, valid only during the call.
     """
     lat = noise_cov.lattice
     check_margin(lat, regions, T)
     reducers = reducers or {}
     n_steps, record_steps = time_grid(T, dt, record_times)
-    if mean_fields is None:
-        mean_fields = {t: mean_field(init, t, lat) for t in record_times}
     cells = [reg.cells(lat) for reg in regions]
     # in-region mean values per (record step, region)
     means = {k: [mean_fields[t].values.reshape(-1)[idx] for idx in cells]
              for k, t in record_steps.items()}
-    mult = _heat_multiplier(lat, dt)
+    mult = heat_multiplier(lat, dt)
     u0 = init.field_on(lat).values
     B = block_size(lat)
 
@@ -242,18 +236,19 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
 
     for lo in range(0, len(trajs), B):
         block = trajs[lo:lo + B]
-        state = FieldState(field=checked_field(
-            lat, np.repeat(u0[np.newaxis], len(block), axis=0)),
-            step_index=0, dt=dt)
-        w = np.empty((len(block),) + lat.shape)
+        streams = [stream_for(seed, tr.replica_id) for tr in block]
+        u = np.repeat(u0[np.newaxis], len(block), axis=0)
+        w, colored, kick = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+        spec = np.empty(u.shape[:1] + mult.shape, complex)
+        state = FieldState(field=checked_field(lat, u), step_index=0, dt=dt)
         if 0 in record_steps:
             record(block, state)
-        for k in range(n_steps):
-            for tr, row in zip(block, w):
-                stream_for(seed, tr.replica_id, k).standard_normal(out=row)
-            sl = sample_slice(noise_cov, dt, w)
+        for _ in range(n_steps):
+            for g, row in zip(streams, w):
+                g.standard_normal(out=row)
+            sl = sample_slice(noise_cov, dt, w, colored, spec)
             try:
-                state = step(state, sl, sigma, dt, _mult=mult)
+                step(state, sl, sigma, mult, kick, spec)
             except InstabilityError as exc:
                 raise InstabilityError("replica %d: %s" % (
                     block[exc.row].replica_id, exc)) from exc

@@ -197,23 +197,34 @@ def build_embedding(lattice, spec):
                               clamped_mass=clamped_mass)
 
 
-def sample_slice(cov, dt, w):
+def spectral_multiply(values, factor, out=None, spec=None):
+    """irfftn(rfftn(values) * factor) over the last factor.ndim axes of one
+    grid or a (B, *grid) block.
+
+    Written into out through the complex half-spectrum spec, shaped
+    (B,) + factor.shape for a block; each is allocated when None. The
+    leading axes are inverted in place, so no other array is made.
+    """
+    axes = tuple(range(values.ndim - factor.ndim, values.ndim))
+    spec = np.fft.rfftn(values, axes=axes, out=spec)
+    spec *= factor
+    for ax in axes[:-1]:
+        np.fft.ifft(spec, axis=ax, out=spec)
+    return np.fft.irfft(spec, n=values.shape[-1], axis=-1, out=out)
+
+
+def sample_slice(cov, dt, w, out=None, spec=None):
     """One centered Gaussian slice with Cov(v_i, v_j) = dt * row[i-j].
 
     Colors the standard normals w through the real symmetric square root of
     the circulant, so the covariance is exact (up to the recorded clamping).
     w is one grid, or a (B, *grid) block colored with one FFT pair over its
-    last d axes.
+    last d axes, written into out through spec (spectral_multiply).
     """
     if dt <= 0:
         raise ValueError("dt must be positive, got %r" % (dt,))
-    lat = cov.lattice
-    axes = tuple(range(w.ndim - lat.d, w.ndim))
-    spec_w = np.fft.rfftn(w, axes=axes)
-    spec_w *= cov.sqrt_eig_half
-    colored = np.fft.irfftn(spec_w, s=lat.shape, axes=axes)
-    colored *= np.sqrt(dt)
-    return checked_field(lat, colored)
+    factor = cov.sqrt_eig_half * np.sqrt(dt)
+    return checked_field(cov.lattice, spectral_multiply(w, factor, out, spec))
 
 
 @dataclass

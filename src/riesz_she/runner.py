@@ -1,7 +1,7 @@
 """Experiment execution: replica scheduling, aggregation, persistence.
 
 Replicas never share mutable state and their random streams are keyed by
-(seed, replica_id, step), so results are independent of worker count and
+(seed, replica_id), so results are independent of worker count and
 completion order; merges are keyed by replica_id.
 """
 
@@ -55,9 +55,9 @@ class ResultSet:
 
 def _run_chunk(args):
     (cov, sigma, init, T, dt, record_times, regions, seed, replica_ids,
-     reducers, mean_fields) = args
+     mean_fields, reducers) = args
     return simulate(cov, sigma, init, T, dt, record_times, regions, seed,
-                    replica_ids, reducers, mean_fields)
+                    replica_ids, mean_fields, reducers)
 
 
 def _reducers(cfg):
@@ -91,7 +91,7 @@ def run_replicas(cfg, cov, workers=1):
     args = [(cov, cfg.sigma, cfg.init, cfg.T, cfg.dt, cfg.record_times,
              cfg.regions, cfg.seed,
              [rid for blk in blocks[i::n_chunks] for rid in blk],
-             reducers, mean_fields)
+             mean_fields, reducers)
             for i in range(n_chunks)]
     if n_chunks <= 1:
         parts = map(_run_chunk, args)
@@ -144,7 +144,7 @@ def _limit_constants(cfg, rs):
 
 def _run_noise_validate(cfg, workers):
     cov = build_embedding(cfg.lattice, cfg.spec)
-    slices = (sample_slice(cov, cfg.dt, stream_for(cfg.seed, i, 0)
+    slices = (sample_slice(cov, cfg.dt, stream_for(cfg.seed, i)
                            .standard_normal(cfg.lattice.shape))
               for i in range(cfg.n_replicas))
     rs = ResultSet(config=cfg)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from riesz_she import (InitialCondition, NonlinearitySpec, Region, RieszSpec,
-                       build_embedding, simulate)
+                       build_embedding, mean_field, simulate)
 from riesz_she.cli import main as cli_main
 from riesz_she.config import parse_config
 from riesz_she.observables import LimitConstants, k_beta
@@ -219,8 +219,10 @@ def test_criterion_10_degenerate_regime(tmp_path):
     sigma = NonlinearitySpec("affine", a=1.0, b=-1.0)  # sigma(x) = x - 1
     init = InitialCondition("constant", value=1.0)
     gs = []
+    means = {t: mean_field(init, t, cfg.lattice) for t in TIMES}
     for tr in simulate(cov, sigma, init, 0.25, DT, TIMES,
-                       [Region("ball", R) for R in R_LIST], SEED, range(3)):
+                       [Region("ball", R) for R in R_LIST], SEED, range(3),
+                       means):
         gs.extend(tr.region_averages.values())
     exact_zero = all(g == 0.0 for g in gs)
     cfgfile = tmp_path / "degen.cfg"
@@ -249,9 +251,9 @@ def test_criterion_11_bounded_start_comparison(clipped_run):
     ordered = True
     for lo, hi in zip(
             simulate(cov, sigma, lo_init, 0.25, DT, TIMES, [], SEED,
-                     range(5), reducers={t: np.copy for t in TIMES}),
+                     range(5), {}, reducers={t: np.copy for t in TIMES}),
             simulate(cov, sigma, hi_init, 0.25, DT, TIMES, [], SEED,
-                     range(5), reducers={t: np.copy for t in TIMES})):
+                     range(5), {}, reducers={t: np.copy for t in TIMES})):
         for t in TIMES:
             ordered &= bool(np.all(lo.reduced[t] <= hi.reduced[t] + 1e-9))
     ok = abs(slope - 0.75) <= 0.05 and ks16 < 0.05 and ordered

@@ -6,16 +6,17 @@ import pytest
 from riesz_she import (InitialCondition, Lattice, NonlinearitySpec, RieszSpec,
                        SpatialField, build_embedding, heat_semigroup,
                        mean_field, sample_slice, simulate)
-from riesz_she.engine import FieldState, InstabilityError, snap_to_grid, step
+from riesz_she.engine import (FieldState, InstabilityError, heat_multiplier,
+                              snap_to_grid, step)
 from riesz_she.noise import checked_field
 from riesz_she.observables import window_sigma_mean
 from riesz_she.stats import sigma_lag_means
 from riesz_she.streams import stream_for
 
 
-def normals(lat, seed, replica_id, step_index):
-    """The standard normals drawn for one (seed, replica, step) slice."""
-    return stream_for(seed, replica_id, step_index).standard_normal(lat.shape)
+def means_at(init, times, lat):
+    """The mean fields simulate takes, one per record time."""
+    return {t: mean_field(init, t, lat) for t in times}
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +92,11 @@ def test_step_zero_sigma_keeps_constant(small_setup):
     lat, _, cov = small_setup
     sigma = NonlinearitySpec("affine", a=0.0, b=0.0)
     state = FieldState(SpatialField(lat, np.ones(lat.shape)), 0, 0.01)
-    for k in range(10):
-        sl = sample_slice(cov, 0.01, normals(lat, 1, 0, k))
-        state = step(state, sl, sigma, 0.01)
-    assert np.allclose(state.values if hasattr(state, "values")
-                       else state.field.values, 1.0, atol=1e-12)
+    g, mult = stream_for(1, 0), heat_multiplier(lat, 0.01)
+    for _ in range(10):
+        sl = sample_slice(cov, 0.01, g.standard_normal(lat.shape))
+        step(state, sl, sigma, mult)
+    assert np.allclose(state.field.values, 1.0, atol=1e-12)
     assert state.step_index == 10
     assert state.time == pytest.approx(0.1)
 
@@ -104,9 +105,10 @@ def test_step_degenerate_sigma_is_exact(small_setup):
     lat, _, cov = small_setup
     sigma = NonlinearitySpec("affine", a=1.0, b=-1.0)  # sigma(1) = 0
     state = FieldState(SpatialField(lat, np.ones(lat.shape)), 0, 0.01)
-    for k in range(20):
-        sl = sample_slice(cov, 0.01, normals(lat, 2, 0, k))
-        state = step(state, sl, sigma, 0.01)
+    g, mult = stream_for(2, 0), heat_multiplier(lat, 0.01)
+    for _ in range(20):
+        sl = sample_slice(cov, 0.01, g.standard_normal(lat.shape))
+        step(state, sl, sigma, mult)
     assert np.array_equal(state.field.values, np.ones(lat.shape))
 
 
@@ -114,12 +116,14 @@ def test_step_mean_stays_one_linear(small_setup):
     lat, _, cov = small_setup
     sigma = NonlinearitySpec("linear")
     dt = 0.005
+    mult = heat_multiplier(lat, dt)
     means = []
     for rid in range(500):
         state = FieldState(SpatialField(lat, np.ones(lat.shape)), 0, dt)
-        for k in range(10):
-            sl = sample_slice(cov, dt, normals(lat, 3, rid, k))
-            state = step(state, sl, sigma, dt)
+        g = stream_for(3, rid)
+        for _ in range(10):
+            sl = sample_slice(cov, dt, g.standard_normal(lat.shape))
+            step(state, sl, sigma, mult)
         means.append(state.field.values.mean())
     means = np.array(means)
     se = means.std(ddof=1) / np.sqrt(len(means))
@@ -135,7 +139,7 @@ def test_step_blowup_guard(small_setup):
     bad_slice.values = np.full(lat.shape, np.inf)
     state = FieldState(bad, 0, 0.01)
     with pytest.raises(InstabilityError, match="reduce dt"):
-        step(state, bad_slice, sigma, 0.01)
+        step(state, bad_slice, sigma, heat_multiplier(lat, 0.01))
 
 
 def test_mean_field_examples(small_setup):
@@ -171,7 +175,8 @@ def test_simulate_t_zero_records_initial(small_setup):
     lat, _, cov = small_setup
     init = InitialCondition("constant", value=1.0)
     traj = simulate(cov, NonlinearitySpec("linear"), init, 0.0, 0.01, [0.0],
-                    [Region("ball", 1.0)], seed=5, replica_ids=[0])[0]
+                    [Region("ball", 1.0)], seed=5, replica_ids=[0],
+                    mean_fields=means_at(init, [0.0], lat))[0]
     assert traj.region_averages[(0.0, 0)] == 0.0
 
 
@@ -181,6 +186,7 @@ def test_simulate_determinism(small_setup):
     init = InitialCondition("constant", value=1.0)
     kwargs = dict(T=0.1, dt=0.0125, record_times=[0.05, 0.1],
                   regions=[Region("ball", 2.0)], seed=9, replica_ids=[3],
+                  mean_fields=means_at(init, [0.05, 0.1], lat),
                   reducers={0.05: np.copy, 0.1: np.copy})
     a, = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
     b, = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
@@ -194,7 +200,8 @@ def test_simulate_margin_violation(small_setup):
     init = InitialCondition("constant", value=1.0)
     with pytest.raises(ValueError, match="6\\*sqrt"):
         simulate(cov, NonlinearitySpec("linear"), init, 4.0, 0.01, [1.0],
-                 [Region("ball", 4.0)], seed=0, replica_ids=[0])
+                 [Region("ball", 4.0)], seed=0, replica_ids=[0],
+                 mean_fields=means_at(init, [1.0], lat))
 
 
 def test_simulate_off_grid_record_time(small_setup):
@@ -203,7 +210,8 @@ def test_simulate_off_grid_record_time(small_setup):
     init = InitialCondition("constant", value=1.0)
     with pytest.raises(ValueError, match="not a multiple"):
         simulate(cov, NonlinearitySpec("linear"), init, 0.1, 0.0125, [0.03],
-                 [Region("ball", 1.0)], seed=0, replica_ids=[0])
+                 [Region("ball", 1.0)], seed=0, replica_ids=[0],
+                 mean_fields=means_at(init, [0.03], lat))
 
 
 def test_weak_comparison_coupled_noise(small_setup):
@@ -211,13 +219,15 @@ def test_weak_comparison_coupled_noise(small_setup):
     lat, _, cov = small_setup
     sigma = NonlinearitySpec("clipped-linear")
     dt = 0.005
+    mult = heat_multiplier(lat, dt)
     for rid in range(20):
         lo = FieldState(SpatialField(lat, np.full(lat.shape, 0.5)), 0, dt)
         hi = FieldState(SpatialField(lat, np.full(lat.shape, 2.0)), 0, dt)
-        for k in range(40):
-            sl = sample_slice(cov, dt, normals(lat, 77, rid, k))
-            lo = step(lo, sl, sigma, dt)
-            hi = step(hi, sl, sigma, dt)
+        g = stream_for(77, rid)
+        for _ in range(40):
+            sl = sample_slice(cov, dt, g.standard_normal(lat.shape))
+            step(lo, sl, sigma, mult)
+            step(hi, sl, sigma, mult)
             assert np.all(lo.field.values <= hi.field.values + 1e-9)
 
 
@@ -226,12 +236,14 @@ def test_stationarity_proxy(small_setup):
     lat, _, cov = small_setup
     sigma = NonlinearitySpec("linear")
     dt = 0.005
+    mult = heat_multiplier(lat, dt)
     fields = []
     for rid in range(400):
         state = FieldState(SpatialField(lat, np.ones(lat.shape)), 0, dt)
-        for k in range(20):
-            sl = sample_slice(cov, dt, normals(lat, 13, rid, k))
-            state = step(state, sl, sigma, dt)
+        g = stream_for(13, rid)
+        for _ in range(20):
+            sl = sample_slice(cov, dt, g.standard_normal(lat.shape))
+            step(state, sl, sigma, mult)
         fields.append(state.field.values)
     stack = np.stack(fields)
     cell_means = stack.mean(axis=0)
@@ -244,12 +256,14 @@ def test_fourth_moment_stable_under_dt_halving(small_setup):
     sigma = NonlinearitySpec("linear")
 
     def fourth_moment(dt, n_steps, seed):
+        mult = heat_multiplier(lat, dt)
         vals = []
         for rid in range(400):
             state = FieldState(SpatialField(lat, np.ones(lat.shape)), 0, dt)
-            for k in range(n_steps):
-                sl = sample_slice(cov, dt, normals(lat, seed, rid, k))
-                state = step(state, sl, sigma, dt)
+            g = stream_for(seed, rid)
+            for _ in range(n_steps):
+                sl = sample_slice(cov, dt, g.standard_normal(lat.shape))
+                step(state, sl, sigma, mult)
             # stationarity: average the moment over cells as well
             vals.append(np.mean(state.field.values ** 4))
         return np.mean(vals)
@@ -267,7 +281,7 @@ def test_step_blowup_names_block_row(small_setup):
     state = FieldState(checked_field(lat, np.ones_like(noise)), 0, 0.01)
     with pytest.raises(InstabilityError, match="reduce dt") as info:
         step(state, checked_field(lat, noise), NonlinearitySpec("linear"),
-             0.01)
+             heat_multiplier(lat, 0.01))
     assert info.value.row == 1
 
 
@@ -294,7 +308,8 @@ def test_block_stepping_matches_one_id_blocks(d, n, L, n_ids):
     times = [0.0, 0.004, 0.01]
     kwargs = dict(T=0.01, dt=0.002, record_times=times,
                   regions=[Region("ball", 1.0), Region("box", 0.5)],
-                  seed=2**63 + 3, reducers={t: reducer for t in times})
+                  seed=2**63 + 3, mean_fields=means_at(init, times, lat),
+                  reducers={t: reducer for t in times})
     ids = [7 * i + 1 for i in range(n_ids)]
     block = simulate(cov, sigma, init, replica_ids=ids, **kwargs)
     for rid, tr in zip(ids, block):
@@ -308,3 +323,43 @@ def test_block_stepping_matches_one_id_blocks(d, n, L, n_ids):
             assert lag_means.shape == (3,)
             assert np.array_equal(lag_means, alone.reduced[t][1])
             assert eta == alone.reduced[t][2]
+
+
+@pytest.mark.parametrize("d, n, L", [(1, 64, 8.0), (2, 32, 4.0)],
+                         ids=["d1", "d2"])
+def test_simulate_matches_a_loop_with_fresh_arrays(d, n, L):
+    # simulate steps a block through buffers it reuses every step; one
+    # replica stepped by hand, every array new, must give the same bytes
+    from riesz_she import Region
+    lat = Lattice(d=d, n=n, L=L)
+    cov = build_embedding(lat, RieszSpec(d, 0.5))
+    sigma = NonlinearitySpec("sine-affine", a=0.5, b=0.8, c=0.1)
+    init = InitialCondition("constant", value=1.0)
+    dt, n_steps, seed, rid = 0.002, 5, 2**63 + 3, 8
+    times = {0: 0.0, 2: 0.004, 5: 0.01}
+    regions = [Region("ball", 1.0), Region("box", 0.5)]
+    means = means_at(init, times.values(), lat)
+    trajs = simulate(cov, sigma, init, n_steps * dt, dt, list(times.values()),
+                     regions, seed, [rid - 1, rid, rid + 1], means,
+                     reducers={t: np.copy for t in times.values()})
+
+    g = stream_for(seed, rid)
+    state = FieldState(init.field_on(lat), 0, dt)
+    averages, fields = {}, {}
+    for k in range(n_steps + 1):
+        if k:
+            sl = sample_slice(cov, dt, g.standard_normal(lat.shape))
+            step(state, sl, sigma, heat_multiplier(lat, dt))
+        if k in times:
+            t, u = times[k], state.field.values.copy()
+            fields[t] = u
+            for r, reg in enumerate(regions):
+                idx = reg.cells(lat)
+                diff = u.reshape(-1)[idx] - means[t].values.reshape(-1)[idx]
+                averages[(t, r)] = float(lat.cell_volume * diff.sum())
+    tr = trajs[1]
+    assert tr.replica_id == rid
+    assert tr.region_averages == averages
+    assert tr.reduced.keys() == fields.keys()
+    for t, u in fields.items():
+        assert np.array_equal(tr.reduced[t], u)

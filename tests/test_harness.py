@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from riesz_she import (DegenerateSigmaError, InstabilityError,
-                       build_embedding, simulate)
+                       build_embedding, mean_field, simulate)
 from riesz_she.cli import main as cli_main
 from riesz_she.config import ConfigError, load_config, parse_config
 from riesz_she.observables import estimate_eta
@@ -418,6 +418,8 @@ def _field_stacks(cfg):
     trajs = simulate(build_embedding(cfg.lattice, cfg.spec), cfg.sigma,
                      cfg.init, cfg.T, cfg.dt, cfg.record_times, cfg.regions,
                      cfg.seed, range(cfg.n_replicas),
+                     {t: mean_field(cfg.init, t, cfg.lattice)
+                      for t in cfg.record_times},
                      reducers={t: np.copy for t in cfg.record_times})
     return {t: np.stack([tr.reduced[t] for tr in trajs])
             for t in cfg.record_times}

@@ -8,9 +8,9 @@ from riesz_she.noise import EmbeddingError
 from riesz_she.streams import stream_for
 
 
-def normals(lat, seed, replica_id, step_index):
-    """The standard normals drawn for one (seed, replica, step) slice."""
-    return stream_for(seed, replica_id, step_index).standard_normal(lat.shape)
+def normals(lat, seed, replica_id):
+    """A replica's first step of standard normals, as noise-validate draws."""
+    return stream_for(seed, replica_id).standard_normal(lat.shape)
 
 
 def test_spec_rejects_bad_beta():
@@ -87,7 +87,7 @@ def slices_1d():
     spec = RieszSpec(1, 0.5)
     cov = build_embedding(lat, spec)
     dt = 0.01
-    slices = [sample_slice(cov, dt, normals(lat, 11, i, 0))
+    slices = [sample_slice(cov, dt, normals(lat, 11, i))
               for i in range(10_000)]
     return lat, spec, cov, dt, slices
 
@@ -122,8 +122,8 @@ def test_covariance_diagnostic_band(slices_1d):
 
 def test_covariance_diagnostic_determinism(slices_1d):
     lat, spec, cov, dt, _ = slices_1d
-    a = [sample_slice(cov, dt, normals(lat, 5, i, 0)) for i in range(200)]
-    b = [sample_slice(cov, dt, normals(lat, 5, i, 0)) for i in range(200)]
+    a = [sample_slice(cov, dt, normals(lat, 5, i)) for i in range(200)]
+    b = [sample_slice(cov, dt, normals(lat, 5, i)) for i in range(200)]
     ra = covariance_diagnostic(a, [(0,), (3,)], spec, dt)
     rb = covariance_diagnostic(b, [(0,), (3,)], spec, dt)
     for x, y in zip(ra, rb):
@@ -140,9 +140,9 @@ def test_covariance_diagnostic_errors(slices_1d):
 
 def test_dt_scaling_is_exact_per_stream(slices_1d):
     lat, spec, cov, dt, _ = slices_1d
-    a = np.stack([sample_slice(cov, dt, normals(lat, 3, i, 0)).values
+    a = np.stack([sample_slice(cov, dt, normals(lat, 3, i)).values
                   for i in range(500)])
-    b = np.stack([sample_slice(cov, 2 * dt, normals(lat, 3, i, 0)).values
+    b = np.stack([sample_slice(cov, 2 * dt, normals(lat, 3, i)).values
                   for i in range(500)])
     # same stream: doubling dt scales every slice by sqrt(2), so every
     # empirical second moment doubles
@@ -155,7 +155,7 @@ def test_isotropy_d2():
     spec = RieszSpec(2, 1.0)
     cov = build_embedding(lat, spec)
     dt = 0.01
-    vals = np.stack([sample_slice(cov, dt, normals(lat, 21, i, 0)).values
+    vals = np.stack([sample_slice(cov, dt, normals(lat, 21, i)).values
                      for i in range(3000)])
     def lag_cov(la, lb):
         prod = (vals * np.roll(vals, (la, lb), axis=(1, 2))).mean(axis=(1, 2))
@@ -169,4 +169,4 @@ def test_isotropy_d2():
 def test_sample_slice_rejects_bad_dt(slices_1d):
     lat, spec, cov, dt, _ = slices_1d
     with pytest.raises(ValueError):
-        sample_slice(cov, 0.0, normals(lat, 0, 0, 0))
+        sample_slice(cov, 0.0, normals(lat, 0, 0))

@@ -6,7 +6,8 @@ import pytest
 from riesz_she import (InitialCondition, Lattice, LimitConstants,
                        NonlinearitySpec, Region, RieszSpec, SpatialField,
                        build_embedding, estimate_eta, k_beta,
-                       limit_covariance, region_average, simulate)
+                       limit_covariance, mean_field, region_average,
+                       simulate)
 from riesz_she.noise import cube_pair_integral
 from riesz_she.observables import ball_pair_integral, window_sigma_mean
 
@@ -213,6 +214,7 @@ def window_mean_run():
     reducer = functools.partial(window_sigma_mean, sigma=sigma, window=window)
     trajs = simulate(cov, sigma, init, T, dt, times, [Region("ball", 2.0)],
                      seed=31, replica_ids=range(150),
+                     mean_fields={t: mean_field(init, t, lat) for t in times},
                      reducers={t: reducer for t in times})
     means = {t: np.array([tr.reduced[t] for tr in trajs]) for t in times}
     return lat, window, means
@@ -260,7 +262,9 @@ def test_translated_region_variance_invariance():
 
     g0, g1 = [], []
     for tr in simulate(cov, sigma, init, T, dt, [T], [region], seed=55,
-                       replica_ids=range(600), reducers={T: translated}):
+                       replica_ids=range(600),
+                       mean_fields={T: mean_field(init, T, lat)},
+                       reducers={T: translated}):
         g0.append(tr.region_averages[(T, 0)])
         g1.append(tr.reduced[T])
     v0, v1 = np.var(g0, ddof=1), np.var(g1, ddof=1)
@@ -281,7 +285,8 @@ def test_box_vs_ball_variance_ratio_d2():
     regions = [Region("ball", R), Region("box", R)]
     gb, gx = [], []
     for tr in simulate(cov, sigma, init, T, dt, [T], regions, seed=91,
-                       replica_ids=range(400)):
+                       replica_ids=range(400),
+                       mean_fields={T: mean_field(init, T, lat)}):
         gb.append(tr.region_averages[(T, 0)])
         gx.append(tr.region_averages[(T, 1)])
     k_ball = k_beta(Region("ball", 1.0), spec)

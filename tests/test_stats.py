@@ -19,9 +19,9 @@ from riesz_she.stats import (KS_FLOOR_1PCT, StatsReport,
 from riesz_she.streams import stream_for
 
 
-def normals(lat, seed, replica_id, step_index):
-    """The standard normals drawn for one (seed, replica, step) slice."""
-    return stream_for(seed, replica_id, step_index).standard_normal(lat.shape)
+def normals(lat, seed, replica_id):
+    """A replica's first step of standard normals, as noise-validate draws."""
+    return stream_for(seed, replica_id).standard_normal(lat.shape)
 
 K_BETA_HALF = 2 ** 2.5 / 0.75
 
@@ -207,7 +207,7 @@ def test_correlation_decay_on_noise_slices():
     spec = RieszSpec(1, 0.5)
     cov = build_embedding(lat, spec)
     lags = [4, 6, 8, 12, 16]
-    lag_means = [sigma_lag_means(sample_slice(cov, 1.0, normals(lat, 17, i, 0))
+    lag_means = [sigma_lag_means(sample_slice(cov, 1.0, normals(lat, 17, i))
                                  .values, NonlinearitySpec("linear"), lags)
                  for i in range(2000)]
     rep, rows = correlation_decay_check(lag_means, lags, lat, spec.beta)
