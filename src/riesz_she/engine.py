@@ -48,15 +48,25 @@ class NonlinearitySpec:
             raise ValueError("unknown sigma kind %r (choose from %s)"
                              % (self.kind, ", ".join(_SIGMA_KINDS)))
 
-    def __call__(self, v):
+    def __call__(self, v, out=None, scratch=None):
+        """sigma(v), written into out when given. sine-affine keeps b * v in
+        scratch, an array like out, or in a new one when scratch is None."""
+        v = np.asarray(v, dtype=np.float64)
+        if out is None:
+            out = np.empty_like(v)
         if self.kind == "linear":
-            return np.asarray(v, dtype=np.float64)
-        if self.kind == "affine":
-            return self.a * np.asarray(v) + self.b
-        if self.kind == "sine-affine":
-            v = np.asarray(v)
-            return self.a * np.sin(v) + self.b * v + self.c
-        return np.maximum(np.asarray(v), 0.0)
+            np.copyto(out, v)
+        elif self.kind == "affine":
+            np.multiply(self.a, v, out=out)
+            out += self.b
+        elif self.kind == "sine-affine":
+            np.sin(v, out=out)
+            out *= self.a
+            out += np.multiply(self.b, v, out=scratch)
+            out += self.c
+        else:
+            np.maximum(v, 0.0, out=out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ class FieldState:
 class Trajectory:
     replica_id: int
     region_averages: dict = field(default_factory=dict)  # (time, region_id) -> float
-    reduced: dict = field(default_factory=dict)  # time -> reducers[time](field)
+    reduced: dict = field(default_factory=dict)  # time -> row's reducer result
     fields_at_times: dict = field(default_factory=dict)  # empty; perfbench reads it
 
 
@@ -123,17 +133,20 @@ def heat_semigroup(field_in, tau):
                                                heat_multiplier(lat, tau)))
 
 
-def step(state, slice_field, sigma, mult, kick=None, spec=None):
+def step(state, slice_field, sigma, mult, kick=None, spec=None,
+         scratch=None):
     """One exponential-Euler step of one field or of a (B, *grid) block of
     fields, in place: the new field overwrites state.field.values.
 
     mult is heat_multiplier(lattice, state.dt). The kick u + sigma(u) dW is
-    written into kick and its spectrum into spec (spectral_multiply).
-    Raises on blow-up, naming the first failing row of a block.
+    written into kick, with scratch as sigma's scratch, and its spectrum
+    into spec (spectral_multiply). Raises on blow-up, naming the first
+    failing row of a block.
     """
     lat = state.field.lattice
     u = state.field.values
-    kick = np.multiply(sigma(u), slice_field.values, out=kick)
+    kick = sigma(u, kick, scratch)
+    kick *= slice_field.values
     kick += u
     spectral_multiply(kick, mult, u, spec)
     state.step_index += 1
@@ -183,6 +196,11 @@ def mean_field(init, t, lattice):
     return heat_semigroup(init.field_on(lattice), t)
 
 
+# normals a block draws at once, in cells (float64: 1 MB); the draws of
+# several steps share one buffer, so each stream is called once per chunk
+DRAW_BUDGET = 2 ** 17
+
+
 def block_size(lattice):
     """Replicas stepped together: blocks of about 2**15 cells.
 
@@ -200,11 +218,16 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
     The ids are stepped in consecutive blocks of block_size(lattice), one
     (B, *grid) array per block, and every step of a block writes into the
     same arrays. Row i draws each step's n^d normals, in turn, from the one
-    stream keyed by (seed, replica id). mean_fields maps record time to the
-    deterministic mean (heat flow of the initial condition). reducers maps
-    a record time to a picklable function of one grid, which then maps each
-    row to the numbers a statistic needs, kept in Trajectory.reduced; the
-    grid it sees is a view of a reused buffer, valid only during the call.
+    stream keyed by (seed, replica id); they are drawn K steps at a time
+    into a (B, K, *grid) buffer, K = DRAW_BUDGET // (B n^d) clipped to
+    [1, n_steps], and a stream fills its row in stream order, so no byte
+    depends on K. mean_fields maps record time to the deterministic mean
+    (heat flow of the initial condition). reducers maps a record time to a
+    picklable function of the (B, *grid) block of fields, called once per
+    block, that returns one result per row (a sequence of length B): the
+    numbers a statistic needs, kept in Trajectory.reduced. Each result must
+    depend on its own row only, and the block is a reused buffer, valid
+    only during the call.
     """
     lat = noise_cov.lattice
     check_margin(lat, regions, T)
@@ -231,24 +254,29 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
                 tr.region_averages[(t, r)] = g
         reducer = reducers.get(t)
         if reducer is not None:
-            for tr, values in zip(block, state.field.values):
-                tr.reduced[t] = reducer(values)
+            for tr, result in zip(block, reducer(state.field.values)):
+                tr.reduced[t] = result
 
     for lo in range(0, len(trajs), B):
         block = trajs[lo:lo + B]
         streams = [stream_for(seed, tr.replica_id) for tr in block]
         u = np.repeat(u0[np.newaxis], len(block), axis=0)
-        w, colored, kick = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+        K = max(1, min(n_steps, DRAW_BUDGET // u.size))
+        w = np.empty((len(block), K) + lat.shape)
+        colored, kick, scratch = (np.empty_like(u), np.empty_like(u),
+                                  np.empty_like(u))
         spec = np.empty(u.shape[:1] + mult.shape, complex)
         state = FieldState(field=checked_field(lat, u), step_index=0, dt=dt)
         if 0 in record_steps:
             record(block, state)
-        for _ in range(n_steps):
-            for g, row in zip(streams, w):
-                g.standard_normal(out=row)
-            sl = sample_slice(noise_cov, dt, w, colored, spec)
+        for k in range(n_steps):
+            if k % K == 0:
+                m = min(K, n_steps - k)
+                for g, row in zip(streams, w):
+                    g.standard_normal(out=row[:m])
+            sl = sample_slice(noise_cov, dt, w[:, k % K], colored, spec)
             try:
-                step(state, sl, sigma, mult, kick, spec)
+                step(state, sl, sigma, mult, kick, spec, scratch)
             except InstabilityError as exc:
                 raise InstabilityError("replica %d: %s" % (
                     block[exc.row].replica_id, exc)) from exc

@@ -52,8 +52,12 @@ def region_average(flat, idx, mean_in_region, cell_volume):
     row of a (B, n_cells) block of flattened fields. idx holds the region's
     flat cell indices and mean_in_region the mean field at them. Each row is
     summed alone, so no value depends on B."""
-    diff = flat[:, idx] - mean_in_region
-    return [float(cell_volume * row.sum()) for row in diff]
+    # np.take gathers in C order, so the axis-1 sum is numpy's pairwise sum
+    # of each contiguous row, as row.sum() is; flat[:, idx] would be
+    # column-major, and its rows would be summed in a different order
+    diff = np.take(flat, idx, axis=1)
+    diff -= mean_in_region
+    return (cell_volume * diff.sum(axis=1)).tolist()
 
 
 def ball_pair_integral(d, beta):
@@ -130,9 +134,12 @@ class LimitConstants:
         return float(np.add.reduce(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
 
 
-def window_sigma_mean(values, sigma, window):
-    """Reducer: one field's mean of sigma(u) over window, flat cell indices."""
-    return sigma(values.reshape(-1)[window]).mean()
+def window_sigma_mean(block, sigma, window):
+    """Reducer: each field's mean of sigma(u) over window (flat cell
+    indices), for a (B, *grid) block; the C-order gather keeps each row's
+    mean the pairwise mean of that row alone (see region_average)."""
+    flat = block.reshape(len(block), -1)
+    return sigma(np.take(flat, window, axis=1)).mean(axis=1)
 
 
 def estimate_eta(means_by_time):

@@ -228,13 +228,15 @@ def lag_distances(lag_cells, lattice):
     return dists
 
 
-def sigma_lag_means(values, sigma, lag_cells):
-    """Reducer: for one field, the mean of sigma(u) and, per lag xi, the
-    mean of sigma(u(x)) sigma(u(x + xi)) over positions."""
-    su = sigma(values)
-    axes = tuple(range(su.ndim))
-    return np.array([su.mean()] + [(su * np.roll(su, lag, axis=axes)).mean()
-                                   for lag in lag_cells])
+def sigma_lag_means(block, sigma, lag_cells):
+    """Reducer: for each field of a (B, *grid) block, the mean of sigma(u)
+    and, per lag xi, the mean of sigma(u(x)) sigma(u(x + xi)) over
+    positions; a (B, 1 + len(lag_cells)) array."""
+    su = sigma(block)
+    axes = tuple(range(1, su.ndim))
+    return np.stack([su.mean(axis=axes)]
+                    + [(su * np.roll(su, lag, axis=axes)).mean(axis=axes)
+                       for lag in lag_cells], axis=1)
 
 
 def correlation_decay_check(lag_means, lag_cells, lattice, beta):

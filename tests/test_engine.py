@@ -45,6 +45,22 @@ def test_sigma_lipschitz_audit():
     assert slopes.max() == pytest.approx(3.0, rel=1e-4)
 
 
+@pytest.mark.parametrize("kind", ["linear", "affine", "sine-affine",
+                                  "clipped-linear"])
+def test_sigma_writes_into_out(kind):
+    a, b, c = 0.5, 0.8, 0.1
+    formula = {"linear": lambda v: v, "affine": lambda v: a * v + b,
+               "sine-affine": lambda v: a * np.sin(v) + b * v + c,
+               "clipped-linear": lambda v: np.maximum(v, 0.0)}[kind]
+    sigma = NonlinearitySpec(kind, a=a, b=b, c=c)
+    u = 3.0 * np.random.default_rng(4).standard_normal((5, 16, 8))
+    buf, scratch = np.empty_like(u), np.empty_like(u)
+    assert sigma(u, out=buf) is buf
+    assert np.array_equal(buf, sigma(u))
+    assert np.array_equal(buf, formula(u))
+    assert sigma(u, buf, scratch) is buf and np.array_equal(buf, formula(u))
+
+
 def test_sigma_degenerate_flag():
     assert NonlinearitySpec("affine", a=1, b=-1)(np.float64(1.0)) == 0.0
     assert NonlinearitySpec("linear")(np.float64(1.0)) != 0.0
@@ -285,10 +301,10 @@ def test_step_blowup_names_block_row(small_setup):
     assert info.value.row == 1
 
 
-def _copy_and_reduce(values, sigma, lag_cells, window):
-    # the row itself plus what each pipeline reducer makes of it
-    return (values.copy(), sigma_lag_means(values, sigma, lag_cells),
-            window_sigma_mean(values, sigma, window))
+def _copy_and_reduce(block, sigma, lag_cells, window):
+    # each row itself plus what each pipeline reducer makes of it
+    return list(zip(block.copy(), sigma_lag_means(block, sigma, lag_cells),
+                    window_sigma_mean(block, sigma, window)))
 
 
 @pytest.mark.parametrize("d, n, L, n_ids", [(1, 64, 8.0, 5), (2, 64, 4.0, 10)],
@@ -325,9 +341,7 @@ def test_block_stepping_matches_one_id_blocks(d, n, L, n_ids):
             assert eta == alone.reduced[t][2]
 
 
-@pytest.mark.parametrize("d, n, L", [(1, 64, 8.0), (2, 32, 4.0)],
-                         ids=["d1", "d2"])
-def test_simulate_matches_a_loop_with_fresh_arrays(d, n, L):
+def _check_against_a_loop_with_fresh_arrays(d, n, L):
     # simulate steps a block through buffers it reuses every step; one
     # replica stepped by hand, every array new, must give the same bytes
     from riesz_she import Region
@@ -363,3 +377,36 @@ def test_simulate_matches_a_loop_with_fresh_arrays(d, n, L):
     assert tr.reduced.keys() == fields.keys()
     for t, u in fields.items():
         assert np.array_equal(tr.reduced[t], u)
+
+
+@pytest.mark.parametrize("d, n, L", [(1, 64, 8.0), (2, 32, 4.0)],
+                         ids=["d1", "d2"])
+def test_simulate_matches_a_loop_with_fresh_arrays(d, n, L):
+    _check_against_a_loop_with_fresh_arrays(d, n, L)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 100], ids=["K1", "K3", "K-all"])
+@pytest.mark.parametrize("d, n, L", [(1, 64, 8.0), (2, 32, 4.0)],
+                         ids=["d1", "d2"])
+def test_draw_chunks_match_a_loop_with_fresh_arrays(monkeypatch, d, n, L,
+                                                    chunk):
+    # the draw budget sets K steps of normals per call; 5 steps of a block
+    # of 3 replicas then draw in chunks of K, the last one shorter, and
+    # K = 100 is clipped to the 5 steps
+    from riesz_she import engine
+    monkeypatch.setattr(engine, "DRAW_BUDGET", chunk * 3 * n ** d)
+    calls = []
+
+    class Counted:
+        def __init__(self, g):
+            self.g = g
+
+        def standard_normal(self, out):
+            calls.append(len(out))
+            return self.g.standard_normal(out=out)
+
+    monkeypatch.setattr(engine, "stream_for",
+                        lambda seed, rid: Counted(stream_for(seed, rid)))
+    _check_against_a_loop_with_fresh_arrays(d, n, L)
+    K = min(chunk, 5)
+    assert calls == [min(K, 5 - k) for k in range(0, 5, K) for _ in range(3)]

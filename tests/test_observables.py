@@ -86,6 +86,22 @@ def test_region_average_rows_do_not_depend_on_the_block():
                                     lat.cell_volume)[0] for i in range(7)]
 
 
+@pytest.mark.parametrize("d, n, L", [(1, 64, 8.0), (2, 32, 4.0)],
+                         ids=["d1", "d2"])
+def test_window_sigma_mean_rows_do_not_depend_on_the_block(d, n, L):
+    # each row's mean is that of the row as a block of one, and that of
+    # the row's own window values
+    lat = Lattice(d, n, L)
+    window = Region("box", L / 4).cells(lat)
+    sigma = NonlinearitySpec("sine-affine", a=0.5, b=0.8, c=0.1)
+    block = np.random.default_rng(5).standard_normal((7,) + lat.shape)
+    means = window_sigma_mean(block, sigma, window)
+    assert means.shape == (7,)
+    for i in range(7):
+        assert means[i] == window_sigma_mean(block[i:i + 1], sigma, window)[0]
+        assert means[i] == sigma(block[i].reshape(-1)[window]).mean()
+
+
 def test_region_box_mask_d2():
     lat = Lattice(2, 64, 4.0)
     ball = Region("ball", 1.0).mask(lat).sum()
@@ -231,7 +247,7 @@ def test_estimate_eta_linear(window_mean_run):
 def test_estimate_eta_degenerate(window_mean_run):
     lat, window, means = window_mean_run
     deg = NonlinearitySpec("affine", a=1.0, b=-1.0)
-    zero = window_sigma_mean(np.ones(lat.shape), deg, window)
+    zero, = window_sigma_mean(np.ones((1,) + lat.shape), deg, window)
     times, eta, se = estimate_eta({t: np.full(len(v), zero)
                                    for t, v in means.items()})
     assert np.all(eta == 0.0)
@@ -257,8 +273,9 @@ def test_translated_region_variance_invariance():
     region = Region("ball", 2.0)
     idx = region.cells(lat)
 
-    def translated(values):
-        return lat.cell_volume * np.roll(values, -12)[idx].sum()
+    def translated(block):
+        rolled = np.roll(block, -12, axis=1)
+        return lat.cell_volume * rolled[:, idx].sum(axis=1)
 
     g0, g1 = [], []
     for tr in simulate(cov, sigma, init, T, dt, [T], [region], seed=55,

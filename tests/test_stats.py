@@ -207,18 +207,37 @@ def test_correlation_decay_on_noise_slices():
     spec = RieszSpec(1, 0.5)
     cov = build_embedding(lat, spec)
     lags = [4, 6, 8, 12, 16]
-    lag_means = [sigma_lag_means(sample_slice(cov, 1.0, normals(lat, 17, i))
-                                 .values, NonlinearitySpec("linear"), lags)
-                 for i in range(2000)]
+    slices = np.stack([sample_slice(cov, 1.0, normals(lat, 17, i)).values
+                       for i in range(2000)])
+    lag_means = sigma_lag_means(slices, NonlinearitySpec("linear"), lags)
     rep, rows = correlation_decay_check(lag_means, lags, lat, spec.beta)
     assert rep.passed
     assert rep.estimate < 1.5
 
 
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32)], ids=["d1", "d2"])
+def test_sigma_lag_means_rows_do_not_depend_on_the_block(d, n):
+    # each row is that of the row as a block of one, and that of the row's
+    # own field
+    lags = [(2,) + (0,) * (d - 1), (3,) * d]
+    sigma = NonlinearitySpec("sine-affine", a=0.5, b=0.8, c=0.1)
+    block = np.random.default_rng(6).standard_normal((7,) + (n,) * d)
+    rows = sigma_lag_means(block, sigma, lags)
+    assert rows.shape == (7, 1 + len(lags))
+    axes = tuple(range(d))
+    for i in range(7):
+        assert np.array_equal(rows[i],
+                              sigma_lag_means(block[i:i + 1], sigma, lags)[0])
+        su = sigma(block[i])
+        alone = [su.mean()] + [(su * np.roll(su, lag, axis=axes)).mean()
+                               for lag in lags]
+        assert np.array_equal(rows[i], alone)
+
+
 def test_correlation_decay_degenerate_sigma():
     lat = Lattice(1, 64, 8.0)
     deg = NonlinearitySpec("affine", a=1.0, b=-1.0)
-    lag_means = [sigma_lag_means(np.ones(64), deg, [2, 4, 8])] * 200
+    lag_means = sigma_lag_means(np.ones((200, 64)), deg, [2, 4, 8])
     rep, rows = correlation_decay_check(lag_means, [2, 4, 8], lat, 0.5)
     assert rep.passed and rep.estimate == 1.0
 
