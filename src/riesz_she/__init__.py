@@ -7,8 +7,8 @@ from .noise import (Lattice, RieszSpec, SpatialField, SpectralCovariance,
                     build_embedding, cell_self_energy, covariance_diagnostic,
                     sample_slice)
 from .engine import (DegenerateSigmaError, FieldState, InitialCondition,
-                     InstabilityError, NonlinearitySpec, Trajectory,
-                     heat_semigroup, mean_field, simulate, step)
+                     InstabilityError, NonlinearitySpec, heat_semigroup,
+                     mean_field, simulate, step)
 from .observables import (LimitConstants, Region, estimate_eta, k_beta,
                           limit_covariance, region_average)
 from .stats import (StatsReport, correlation_decay_check,

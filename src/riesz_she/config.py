@@ -259,10 +259,20 @@ def _validate(cfg):
                 lag_distances(cfg.lag_cells, cfg.lattice)
         except ValueError as exc:
             raise ConfigError(str(exc))
+    if cfg.kind == "clt" and len(cfg.R_list) < 3:
+        raise ConfigError("clt needs >= 3 R_list values for its scaling fit")
     if cfg.kind == "fclt" and len(cfg.record_times) < 2:
         raise ConfigError("fclt needs at least two record times")
-    if cfg.kind == "tightness" and len(cfg.record_times) < 5:
-        raise ConfigError("tightness needs a base time plus >= 4 gap times")
+    if cfg.kind == "tightness":
+        times = sorted(cfg.record_times)
+        gaps = np.subtract(times[1:], times[:1])  # from the base time
+        if len(gaps) < 4:
+            raise ConfigError("tightness needs a base time plus >= 4 gap "
+                              "times")
+        if gaps.max() / gaps.min() < 10.0 - 1e-9:
+            raise ConfigError("tightness gaps must span a decade")
+        if cfg.p_moment not in (2, 4):
+            raise ConfigError("p_moment must be 2 or 4, got %d" % cfg.p_moment)
     if cfg.kind == "lemma31" and not (
             cfg.y_list and all(0 < abs(y) < np.inf for y in cfg.y_list)):
         raise ConfigError("lemma31 needs y_list of nonzero finite values")

@@ -105,10 +105,11 @@ class FieldState:
 
 
 @dataclass
-class Trajectory:
-    replica_id: int
-    region_averages: dict = field(default_factory=dict)  # (time, region_id) -> float
-    reduced: dict = field(default_factory=dict)  # time -> row's reducer result
+class BlockResult:
+    """What simulate records for one block; row i is replica_ids[i]."""
+    replica_ids: list
+    region_averages: dict = field(default_factory=dict)  # time -> (B, n_regions)
+    reduced: dict = field(default_factory=dict)  # time -> reducer's (B, ...) array
     fields_at_times: dict = field(default_factory=dict)  # empty; perfbench reads it
 
 
@@ -133,12 +134,12 @@ def heat_semigroup(field_in, tau):
                                                heat_multiplier(lat, tau)))
 
 
-def step(state, slice_field, sigma, mult, kick=None, spec=None,
-         scratch=None):
+def step(state, noise, sigma, mult, kick=None, spec=None, scratch=None):
     """One exponential-Euler step of one field or of a (B, *grid) block of
     fields, in place: the new field overwrites state.field.values.
 
-    mult is heat_multiplier(lattice, state.dt). The kick u + sigma(u) dW is
+    noise is the slice dW, an array shaped like the field. mult is
+    heat_multiplier(lattice, state.dt). The kick u + sigma(u) dW is
     written into kick, with scratch as sigma's scratch, and its spectrum
     into spec (spectral_multiply). Raises on blow-up, naming the first
     failing row of a block.
@@ -146,7 +147,7 @@ def step(state, slice_field, sigma, mult, kick=None, spec=None,
     lat = state.field.lattice
     u = state.field.values
     kick = sigma(u, kick, scratch)
-    kick *= slice_field.values
+    kick *= noise
     kick += u
     spectral_multiply(kick, mult, u, spec)
     state.step_index += 1
@@ -191,8 +192,6 @@ def check_margin(lattice, regions, T):
 
 def mean_field(init, t, lattice):
     """Deterministic heat flow of the initial condition: E u(t, .)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     return heat_semigroup(init.field_on(lattice), t)
 
 
@@ -212,22 +211,24 @@ def block_size(lattice):
 
 def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
              replica_ids, mean_fields, reducers=None):
-    """Run replicas from 0 to T and record region averages; one Trajectory
-    per id, in the order given.
+    """Run replicas from 0 to T; one BlockResult per block of ids, in the
+    order given.
 
     The ids are stepped in consecutive blocks of block_size(lattice), one
-    (B, *grid) array per block, and every step of a block writes into the
-    same arrays. Row i draws each step's n^d normals, in turn, from the one
-    stream keyed by (seed, replica id); they are drawn K steps at a time
-    into a (B, K, *grid) buffer, K = DRAW_BUDGET // (B n^d) clipped to
-    [1, n_steps], and a stream fills its row in stream order, so no byte
-    depends on K. mean_fields maps record time to the deterministic mean
-    (heat flow of the initial condition). reducers maps a record time to a
-    picklable function of the (B, *grid) block of fields, called once per
-    block, that returns one result per row (a sequence of length B): the
-    numbers a statistic needs, kept in Trajectory.reduced. Each result must
-    depend on its own row only, and the block is a reused buffer, valid
-    only during the call.
+    (B, *grid) array per block, through buffers allocated for the first
+    block (a short last block uses their leading rows). Row i draws each
+    step's n^d normals, in turn, from the one stream keyed by (seed,
+    replica id); they are drawn K steps at a time into a (B, K, *grid)
+    buffer, K = DRAW_BUDGET // (B n^d) clipped to [1, n_steps], and a
+    stream fills its row in stream order, so no byte depends on K.
+    mean_fields maps record time to the deterministic mean (heat flow of
+    the initial condition). At record time t a block keeps
+    region_averages[t], a (B, n_regions) array, and reduced[t] =
+    reducers[t](block) if reducers has t: a picklable function of the
+    (B, *grid) block of fields, called once per block, that returns an
+    array whose leading axis is the block's rows. Each row must depend on
+    its own field only; the block is a reused buffer, valid only during
+    the call.
     """
     lat = noise_cov.lattice
     check_margin(lat, regions, T)
@@ -239,47 +240,47 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
              for k, t in record_steps.items()}
     mult = heat_multiplier(lat, dt)
     u0 = init.field_on(lat).values
-    B = block_size(lat)
+    ids = list(replica_ids)
+    B = min(block_size(lat), len(ids)) or 1
+    u = np.empty((B,) + lat.shape)
+    K = max(1, min(n_steps, DRAW_BUDGET // u.size))
+    buffers = (u, np.empty((B, K) + lat.shape), np.empty_like(u),
+               np.empty_like(u), np.empty_like(u),
+               np.empty((B,) + mult.shape, complex))
 
-    trajs = [Trajectory(replica_id=rid) for rid in replica_ids]
-
-    def record(block, state):
-        t = record_steps[state.step_index]
-        flat = state.field.values.reshape(len(block), -1)
+    def record(res, state):
+        t, u = record_steps[state.step_index], state.field.values
+        flat = u.reshape(len(u), -1)
+        g = res.region_averages[t] = np.empty((len(u), len(cells)))
         for r, idx in enumerate(cells):
             # looked up on the module, where perfbench traces the layer
-            averages = observables.region_average(
+            g[:, r] = observables.region_average(
                 flat, idx, means[state.step_index][r], lat.cell_volume)
-            for tr, g in zip(block, averages):
-                tr.region_averages[(t, r)] = g
-        reducer = reducers.get(t)
-        if reducer is not None:
-            for tr, result in zip(block, reducer(state.field.values)):
-                tr.reduced[t] = result
+        if t in reducers:
+            res.reduced[t] = reducers[t](u)
 
-    for lo in range(0, len(trajs), B):
-        block = trajs[lo:lo + B]
-        streams = [stream_for(seed, tr.replica_id) for tr in block]
-        u = np.repeat(u0[np.newaxis], len(block), axis=0)
-        K = max(1, min(n_steps, DRAW_BUDGET // u.size))
-        w = np.empty((len(block), K) + lat.shape)
-        colored, kick, scratch = (np.empty_like(u), np.empty_like(u),
-                                  np.empty_like(u))
-        spec = np.empty(u.shape[:1] + mult.shape, complex)
+    results = []
+    for lo in range(0, len(ids), B):
+        res = BlockResult(replica_ids=ids[lo:lo + B])
+        u, w, colored, kick, scratch, spec = (
+            a[:len(res.replica_ids)] for a in buffers)
+        u[...] = u0
+        streams = [stream_for(seed, rid) for rid in res.replica_ids]
         state = FieldState(field=checked_field(lat, u), step_index=0, dt=dt)
         if 0 in record_steps:
-            record(block, state)
+            record(res, state)
         for k in range(n_steps):
             if k % K == 0:
                 m = min(K, n_steps - k)
                 for g, row in zip(streams, w):
                     g.standard_normal(out=row[:m])
-            sl = sample_slice(noise_cov, dt, w[:, k % K], colored, spec)
+            noise = sample_slice(noise_cov, dt, w[:, k % K], colored, spec)
             try:
-                step(state, sl, sigma, mult, kick, spec, scratch)
+                step(state, noise, sigma, mult, kick, spec, scratch)
             except InstabilityError as exc:
                 raise InstabilityError("replica %d: %s" % (
-                    block[exc.row].replica_id, exc)) from exc
+                    res.replica_ids[exc.row], exc)) from exc
             if state.step_index in record_steps:
-                record(block, state)
-    return trajs
+                record(res, state)
+        results.append(res)
+    return results

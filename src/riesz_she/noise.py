@@ -90,11 +90,8 @@ class SpatialField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != self.lattice.shape:
-            if self.values.size == self.lattice.n_cells:
-                self.values = self.values.reshape(self.lattice.shape)
-            else:
-                raise ValueError("field size %d != n^d = %d"
-                                 % (self.values.size, self.lattice.n_cells))
+            raise ValueError("field shape %r != lattice shape %r"
+                             % (self.values.shape, self.lattice.shape))
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
@@ -219,12 +216,13 @@ def sample_slice(cov, dt, w, out=None, spec=None):
     Colors the standard normals w through the real symmetric square root of
     the circulant, so the covariance is exact (up to the recorded clamping).
     w is one grid, or a (B, *grid) block colored with one FFT pair over its
-    last d axes, written into out through spec (spectral_multiply).
+    last d axes; the slice is returned, written into out through spec
+    (spectral_multiply).
     """
     if dt <= 0:
         raise ValueError("dt must be positive, got %r" % (dt,))
     factor = cov.sqrt_eig_half * np.sqrt(dt)
-    return checked_field(cov.lattice, spectral_multiply(w, factor, out, spec))
+    return spectral_multiply(w, factor, out, spec)
 
 
 @dataclass
@@ -238,27 +236,24 @@ class CovarianceLagRow:
     flagged: bool
 
 
-def covariance_diagnostic(slices, lags, spec, dt):
-    """Empirical lag covariances of sampled slices vs dt * kernel, one
-    CovarianceLagRow per lag. slices may be a generator: each is reduced
-    to its lag products on arrival."""
+def covariance_diagnostic(slices, lattice, lags, spec, dt):
+    """Empirical lag covariances of sampled slices (arrays on lattice) vs
+    dt * kernel, one CovarianceLagRow per lag. slices may be a generator:
+    each is reduced to its lag products on arrival."""
     if not lags:
         raise ValueError("empty lag list")
     lag_ts = [(lag,) if np.isscalar(lag) else tuple(lag) for lag in lags]
     if any(len(lag_t) != spec.d for lag_t in lag_ts):
         raise ValueError("lags %r have the wrong dimension" % (lags,))
-    products = []  # one mean lag product per (slice, lag)
-    for s in slices:
-        lat = s.lattice
-        products.append([(s.values * np.roll(s.values, lag_t, axis=tuple(
-            range(spec.d)))).mean() for lag_t in lag_ts])
+    axes = tuple(range(spec.d))
+    products = [[(s * np.roll(s, lag_t, axis=axes)).mean() for lag_t in lag_ts]
+                for s in slices]  # one mean lag product per (slice, lag)
     if len(products) < 100:
         raise ValueError("need at least 100 slices, got %d" % len(products))
-    h = lat.h
+    n, h = lattice.n, lattice.h
     rows = []
     for lag_t, per_slice in zip(lag_ts, np.array(products).T.copy()):
-        off = np.array([((k + lat.n // 2) % lat.n - lat.n // 2) * h
-                        for k in lag_t])
+        off = np.array([((k + n // 2) % n - n // 2) * h for k in lag_t])
         dist = float(np.linalg.norm(off))
         emp = float(per_slice.mean())
         se = float(per_slice.std(ddof=1) / np.sqrt(len(products)))

@@ -48,8 +48,8 @@ class Region:
 
 
 def region_average(flat, idx, mean_in_region, cell_volume):
-    """h^d * sum over in-region cells of (field - mean field), one float per
-    row of a (B, n_cells) block of flattened fields. idx holds the region's
+    """h^d * sum over in-region cells of (field - mean field), a (B,) array
+    for a (B, n_cells) block of flattened fields. idx holds the region's
     flat cell indices and mean_in_region the mean field at them. Each row is
     summed alone, so no value depends on B."""
     # np.take gathers in C order, so the axis-1 sum is numpy's pairwise sum
@@ -57,7 +57,7 @@ def region_average(flat, idx, mean_in_region, cell_volume):
     # column-major, and its rows would be summed in a different order
     diff = np.take(flat, idx, axis=1)
     diff -= mean_in_region
-    return (cell_volume * diff.sum(axis=1)).tolist()
+    return cell_volume * diff.sum(axis=1)
 
 
 def ball_pair_integral(d, beta):
@@ -158,14 +158,8 @@ def estimate_eta(means_by_time):
 
 def limit_covariance(times, constants):
     """C_ij = k * int_0^{min(t_i, t_j)} eta^2; PSD by min-kernel structure."""
-    times = list(times)
-    ints = {t: constants.eta_sq_integral(t) for t in times}
-    m = len(times)
-    C = np.empty((m, m))
-    for i, ti in enumerate(times):
-        for j, tj in enumerate(times):
-            C[i, j] = constants.k_beta * ints[min(ti, tj)]
-    return C
+    return np.array([[constants.k_beta * constants.eta_sq_integral(min(s, t))
+                      for t in times] for s in times])
 
 
 def constants_rows(spec, region_kind="ball"):

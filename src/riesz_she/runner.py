@@ -2,7 +2,9 @@
 
 Replicas never share mutable state and their random streams are keyed by
 (seed, replica_id), so results are independent of worker count and
-completion order; merges are keyed by replica_id.
+completion order. simulate returns one BlockResult per block of replicas;
+the blocks are put in replica_id order by their first id, and each record
+time's region averages and reductions are joined with one np.concatenate.
 """
 
 import csv
@@ -54,10 +56,7 @@ class ResultSet:
 
 
 def _run_chunk(args):
-    (cov, sigma, init, T, dt, record_times, regions, seed, replica_ids,
-     mean_fields, reducers) = args
-    return simulate(cov, sigma, init, T, dt, record_times, regions, seed,
-                    replica_ids, mean_fields, reducers)
+    return simulate(*args)
 
 
 def _reducers(cfg):
@@ -76,7 +75,7 @@ def _reducers(cfg):
 
 
 def run_replicas(cfg, cov, workers=1):
-    """All replica trajectories, merged in replica_id order.
+    """simulate's BlockResults for all replicas, in replica_id order.
 
     Workers take whole blocks of block_size(lattice) replicas and reduce
     record-time fields as the kind needs (_reducers).
@@ -98,19 +97,17 @@ def run_replicas(cfg, cov, workers=1):
     else:
         with ProcessPoolExecutor(max_workers=n_chunks) as pool:
             parts = list(pool.map(_run_chunk, args))
-    trajs = [tr for part in parts for tr in part]
-    trajs.sort(key=lambda tr: tr.replica_id)
-    return trajs
+    return sorted((blk for part in parts for blk in part),
+                  key=lambda blk: blk.replica_ids[0])
 
 
-def collect_samples(trajs, cfg):
-    """{R: {t: array over replicas}} from recorded region averages."""
-    out = {}
-    for rid_region, R in enumerate(cfg.R_list):
-        out[R] = {}
-        for t in cfg.record_times:
-            out[R][t] = np.array(
-                [tr.region_averages[(t, rid_region)] for tr in trajs])
+def collect_samples(blocks, cfg):
+    """{R: {t: array over replicas}} from the blocks' region averages."""
+    out = {R: {} for R in cfg.R_list}
+    for t in cfg.record_times:
+        g = np.concatenate([blk.region_averages[t] for blk in blocks])
+        for r, R in enumerate(cfg.R_list):
+            out[R][t] = g[:, r]
     return out
 
 
@@ -148,7 +145,8 @@ def _run_noise_validate(cfg, workers):
                            .standard_normal(cfg.lattice.shape))
               for i in range(cfg.n_replicas))
     rs = ResultSet(config=cfg)
-    for row in covariance_diagnostic(slices, cfg.lag_cells, cfg.spec, cfg.dt):
+    for row in covariance_diagnostic(slices, cfg.lattice, cfg.lag_cells,
+                                     cfg.spec, cfg.dt):
         rs.reports.append(StatsReport(
             metric="noise_covariance_ratio",
             params={"lag": row.lag, "distance": row.distance},
@@ -160,10 +158,10 @@ def _run_noise_validate(cfg, workers):
 def _run_simulation_kind(cfg, workers):
     _check_degenerate(cfg)
     cov = build_embedding(cfg.lattice, cfg.spec)
-    trajs = run_replicas(cfg, cov, workers=workers)
-    return ResultSet(config=cfg, samples=collect_samples(trajs, cfg),
-                     reduced={t: np.array([tr.reduced[t] for tr in trajs])
-                              for t in trajs[0].reduced})
+    blocks = run_replicas(cfg, cov, workers=workers)
+    return ResultSet(config=cfg, samples=collect_samples(blocks, cfg),
+                     reduced={t: np.concatenate([b.reduced[t] for b in blocks])
+                              for t in blocks[0].reduced})
 
 
 def _run_variance_limit(cfg, workers):

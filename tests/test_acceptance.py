@@ -71,8 +71,7 @@ def reference_run():
     cfg = make_cfg()
     t0 = time.monotonic()
     cov = build_embedding(cfg.lattice, cfg.spec)
-    trajs = run_replicas(cfg, cov, workers=1)
-    samples = collect_samples(trajs, cfg)
+    samples = collect_samples(run_replicas(cfg, cov, workers=1), cfg)
     return cfg, samples, time.monotonic() - t0
 
 
@@ -83,8 +82,7 @@ def clipped_run():
                          "\n[init]\nkind = cosine\noffset = 1.25\n"
                          "amplitude = 0.75\ncycles = 32\n")
     cov = build_embedding(cfg.lattice, cfg.spec)
-    trajs = run_replicas(cfg, cov, workers=1)
-    return cfg, collect_samples(trajs, cfg)
+    return cfg, collect_samples(run_replicas(cfg, cov, workers=1), cfg)
 
 
 def _ks_by_R(samples, t=0.25):
@@ -220,10 +218,11 @@ def test_criterion_10_degenerate_regime(tmp_path):
     init = InitialCondition("constant", value=1.0)
     gs = []
     means = {t: mean_field(init, t, cfg.lattice) for t in TIMES}
-    for tr in simulate(cov, sigma, init, 0.25, DT, TIMES,
-                       [Region("ball", R) for R in R_LIST], SEED, range(3),
-                       means):
-        gs.extend(tr.region_averages.values())
+    for blk in simulate(cov, sigma, init, 0.25, DT, TIMES,
+                        [Region("ball", R) for R in R_LIST], SEED, range(3),
+                        means):
+        for g in blk.region_averages.values():
+            gs.extend(g.ravel())
     exact_zero = all(g == 0.0 for g in gs)
     cfgfile = tmp_path / "degen.cfg"
     cfgfile.write_text(BASE_CFG % {

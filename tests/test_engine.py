@@ -149,13 +149,10 @@ def test_step_mean_stays_one_linear(small_setup):
 def test_step_blowup_guard(small_setup):
     lat, _, cov = small_setup
     sigma = NonlinearitySpec("linear")
-    bad = SpatialField(lat, np.ones(lat.shape))
-    bad_slice = SpatialField.__new__(SpatialField)
-    bad_slice.lattice = lat
-    bad_slice.values = np.full(lat.shape, np.inf)
-    state = FieldState(bad, 0, 0.01)
+    state = FieldState(SpatialField(lat, np.ones(lat.shape)), 0, 0.01)
     with pytest.raises(InstabilityError, match="reduce dt"):
-        step(state, bad_slice, sigma, heat_multiplier(lat, 0.01))
+        step(state, np.full(lat.shape, np.inf), sigma,
+             heat_multiplier(lat, 0.01))
 
 
 def test_mean_field_examples(small_setup):
@@ -190,10 +187,11 @@ def test_simulate_t_zero_records_initial(small_setup):
     from riesz_she import Region
     lat, _, cov = small_setup
     init = InitialCondition("constant", value=1.0)
-    traj = simulate(cov, NonlinearitySpec("linear"), init, 0.0, 0.01, [0.0],
+    blk, = simulate(cov, NonlinearitySpec("linear"), init, 0.0, 0.01, [0.0],
                     [Region("ball", 1.0)], seed=5, replica_ids=[0],
-                    mean_fields=means_at(init, [0.0], lat))[0]
-    assert traj.region_averages[(0.0, 0)] == 0.0
+                    mean_fields=means_at(init, [0.0], lat))
+    assert blk.replica_ids == [0]
+    assert blk.region_averages[0.0].tolist() == [[0.0]]
 
 
 def test_simulate_determinism(small_setup):
@@ -206,7 +204,9 @@ def test_simulate_determinism(small_setup):
                   reducers={0.05: np.copy, 0.1: np.copy})
     a, = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
     b, = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
-    assert a.region_averages == b.region_averages
+    for t in (0.05, 0.1):
+        assert a.region_averages[t].shape == (1, 1)
+        assert np.array_equal(a.region_averages[t], b.region_averages[t])
     assert np.array_equal(a.reduced[0.1], b.reduced[0.1])
 
 
@@ -296,15 +296,18 @@ def test_step_blowup_names_block_row(small_setup):
     noise[1, 5] = np.inf
     state = FieldState(checked_field(lat, np.ones_like(noise)), 0, 0.01)
     with pytest.raises(InstabilityError, match="reduce dt") as info:
-        step(state, checked_field(lat, noise), NonlinearitySpec("linear"),
+        step(state, noise, NonlinearitySpec("linear"),
              heat_multiplier(lat, 0.01))
     assert info.value.row == 1
 
 
 def _copy_and_reduce(block, sigma, lag_cells, window):
-    # each row itself plus what each pipeline reducer makes of it
-    return list(zip(block.copy(), sigma_lag_means(block, sigma, lag_cells),
-                    window_sigma_mean(block, sigma, window)))
+    # each row: its flattened field, then what each pipeline reducer makes
+    # of it (1 + len(lag_cells) lag means, one window mean)
+    return np.concatenate([block.reshape(len(block), -1),
+                           sigma_lag_means(block, sigma, lag_cells),
+                           window_sigma_mean(block, sigma, window)[:, None]],
+                          axis=1)
 
 
 @pytest.mark.parametrize("d, n, L, n_ids", [(1, 64, 8.0, 5), (2, 64, 4.0, 10)],
@@ -327,18 +330,24 @@ def test_block_stepping_matches_one_id_blocks(d, n, L, n_ids):
                   seed=2**63 + 3, mean_fields=means_at(init, times, lat),
                   reducers={t: reducer for t in times})
     ids = [7 * i + 1 for i in range(n_ids)]
-    block = simulate(cov, sigma, init, replica_ids=ids, **kwargs)
-    for rid, tr in zip(ids, block):
+    blocks = simulate(cov, sigma, init, replica_ids=ids, **kwargs)
+    B = block_size(lat)
+    assert [blk.replica_ids for blk in blocks] == \
+        [ids[lo:lo + B] for lo in range(0, n_ids, B)]
+    averages = {t: np.concatenate([blk.region_averages[t] for blk in blocks])
+                for t in times}
+    reduced = {t: np.concatenate([blk.reduced[t] for blk in blocks])
+               for t in times}
+    for i, rid in enumerate(ids):
         alone, = simulate(cov, sigma, init, replica_ids=[rid], **kwargs)
-        assert tr.replica_id == rid
-        assert tr.region_averages == alone.region_averages
-        assert tr.reduced.keys() == alone.reduced.keys() == {0.0, 0.004, 0.01}
-        for t, (f, lag_means, eta) in tr.reduced.items():
-            assert f.shape == lat.shape
-            assert np.array_equal(f, alone.reduced[t][0])
-            assert lag_means.shape == (3,)
-            assert np.array_equal(lag_means, alone.reduced[t][1])
-            assert eta == alone.reduced[t][2]
+        assert alone.region_averages.keys() == alone.reduced.keys() \
+            == {0.0, 0.004, 0.01}
+        for t in times:
+            assert averages[t].shape == (n_ids, 2)
+            assert np.array_equal(averages[t][i], alone.region_averages[t][0])
+            # the field, 3 lag means and the window mean
+            assert reduced[t].shape == (n_ids, lat.n_cells + 3 + 1)
+            assert np.array_equal(reduced[t][i], alone.reduced[t][0])
 
 
 def _check_against_a_loop_with_fresh_arrays(d, n, L):
@@ -353,9 +362,9 @@ def _check_against_a_loop_with_fresh_arrays(d, n, L):
     times = {0: 0.0, 2: 0.004, 5: 0.01}
     regions = [Region("ball", 1.0), Region("box", 0.5)]
     means = means_at(init, times.values(), lat)
-    trajs = simulate(cov, sigma, init, n_steps * dt, dt, list(times.values()),
-                     regions, seed, [rid - 1, rid, rid + 1], means,
-                     reducers={t: np.copy for t in times.values()})
+    blk, = simulate(cov, sigma, init, n_steps * dt, dt, list(times.values()),
+                    regions, seed, [rid - 1, rid, rid + 1], means,
+                    reducers={t: np.copy for t in times.values()})
 
     g = stream_for(seed, rid)
     state = FieldState(init.field_on(lat), 0, dt)
@@ -366,17 +375,17 @@ def _check_against_a_loop_with_fresh_arrays(d, n, L):
             step(state, sl, sigma, heat_multiplier(lat, dt))
         if k in times:
             t, u = times[k], state.field.values.copy()
-            fields[t] = u
-            for r, reg in enumerate(regions):
+            fields[t], averages[t] = u, []
+            for reg in regions:
                 idx = reg.cells(lat)
                 diff = u.reshape(-1)[idx] - means[t].values.reshape(-1)[idx]
-                averages[(t, r)] = float(lat.cell_volume * diff.sum())
-    tr = trajs[1]
-    assert tr.replica_id == rid
-    assert tr.region_averages == averages
-    assert tr.reduced.keys() == fields.keys()
+                averages[t].append(float(lat.cell_volume * diff.sum()))
+    assert blk.replica_ids == [rid - 1, rid, rid + 1]
+    assert {t: g[1].tolist() for t, g in blk.region_averages.items()} \
+        == averages
+    assert blk.reduced.keys() == fields.keys()
     for t, u in fields.items():
-        assert np.array_equal(tr.reduced[t], u)
+        assert np.array_equal(blk.reduced[t][1], u)
 
 
 @pytest.mark.parametrize("d, n, L", [(1, 64, 8.0), (2, 32, 4.0)],

@@ -108,6 +108,21 @@ def test_kind_specific_validation():
     with pytest.raises(ConfigError, match="y_list"):
         parse_config("kind = lemma31\nd = 1\nbeta = 0.5\n"
                      "[lattice]\nn = 4\nL = 1.0\n")
+    # each would otherwise fail in its statistic after the whole run
+    with pytest.raises(ConfigError, match="clt needs >= 3 R_list values"):
+        parse_config(MINIMAL.replace("R_list = 0.5, 1, 2", "R_list = 0.5, 1"))
+    tight = MINIMAL.replace("kind = clt", "kind = tightness") \
+                   .replace("dt = 0.01", "dt = 0.002")
+    spanning = "seed = 7\nrecord_times = 0.002, 0.004, 0.008, 0.016, 0.04"
+    with pytest.raises(ConfigError, match="p_moment must be 2 or 4, got 3"):
+        parse_config(tight.replace("seed = 7", spanning + "\np_moment = 3"))
+    # gaps 0.01 .. 0.03 from the base time 0.01 span a factor 3
+    with pytest.raises(ConfigError, match="must span a decade"):
+        parse_config(tight.replace("seed = 7", "seed = 7\nrecord_times = "
+                                   "0.01, 0.02, 0.03, 0.036, 0.04"))
+    for p in (2, 4):
+        parse_config(tight.replace("seed = 7",
+                                   spanning + "\np_moment = %d" % p))
 
 
 CONSTANTS_CFG = """
@@ -161,6 +176,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     degen.write_text(MINIMAL + "\n[sigma]\nkind = affine\na = 1\nb = -1\n")
 
     assert cli_main(["clt", "--config", str(bad)]) == EXIT_CONFIG
+    two_r = tmp_path / "two_r.cfg"
+    two_r.write_text(MINIMAL.replace("R_list = 0.5, 1, 2", "R_list = 1, 2"))
+    assert cli_main(["clt", "--config", str(two_r)]) == EXIT_CONFIG
     assert cli_main(["clt", "--config", str(tmp_path / "absent.cfg")]) \
         == EXIT_CONFIG
     assert cli_main(["clt", "--config", str(degen)]) == EXIT_DEGENERATE
@@ -359,7 +377,9 @@ def test_worker_count_does_not_change_results_across_blocks(tmp_path):
 
 def test_pool_has_one_worker_per_chunk(monkeypatch):
     # n=1024 cells give blocks of 32 replicas, so 120 replicas are 4
-    # chunks; a fake pool records its size and maps in this process
+    # chunks; a fake pool records its size and maps in this process. With
+    # 3 workers the first chunk steps blocks 0 and 3, so the blocks come
+    # back out of replica order and the runner must sort them
     from riesz_she import runner
     sizes = []
 
@@ -377,15 +397,22 @@ def test_pool_has_one_worker_per_chunk(monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", FakePool)
-    for n, want in (("1024", [4]), ("32", [])):
+    for n, want in (("1024", [4, 3]), ("32", [])):
         cfg = parse_config(MINIMAL.replace("n = 32", "n = " + n)
                            .replace("n_replicas = 200", "n_replicas = 120"))
         cov = build_embedding(cfg.lattice, cfg.spec)
         serial = runner.run_replicas(cfg, cov, workers=1)
-        pooled = runner.run_replicas(cfg, cov, workers=16)
+        assert [rid for blk in serial for rid in blk.replica_ids] == \
+            list(range(120))
+        for workers in (16, 3):
+            pooled = runner.run_replicas(cfg, cov, workers=workers)
+            assert [blk.replica_ids for blk in pooled] == \
+                [blk.replica_ids for blk in serial]
+            assert all(np.array_equal(p.region_averages[t],
+                                      s.region_averages[t])
+                       for p, s in zip(pooled, serial)
+                       for t in cfg.record_times)
         assert sizes == want
-        assert [tr.region_averages for tr in pooled] == \
-            [tr.region_averages for tr in serial]
         sizes.clear()
 
 
@@ -415,13 +442,13 @@ SINE_AFFINE = "\n[sigma]\nkind = sine-affine\na = 1\nb = 0.5\n"
 
 def _field_stacks(cfg):
     # whole fields per record time, as a reference for the reductions
-    trajs = simulate(build_embedding(cfg.lattice, cfg.spec), cfg.sigma,
-                     cfg.init, cfg.T, cfg.dt, cfg.record_times, cfg.regions,
-                     cfg.seed, range(cfg.n_replicas),
-                     {t: mean_field(cfg.init, t, cfg.lattice)
-                      for t in cfg.record_times},
-                     reducers={t: np.copy for t in cfg.record_times})
-    return {t: np.stack([tr.reduced[t] for tr in trajs])
+    blocks = simulate(build_embedding(cfg.lattice, cfg.spec), cfg.sigma,
+                      cfg.init, cfg.T, cfg.dt, cfg.record_times, cfg.regions,
+                      cfg.seed, range(cfg.n_replicas),
+                      {t: mean_field(cfg.init, t, cfg.lattice)
+                       for t in cfg.record_times},
+                      reducers={t: np.copy for t in cfg.record_times})
+    return {t: np.concatenate([blk.reduced[t] for blk in blocks])
             for t in cfg.record_times}
 
 
@@ -468,15 +495,15 @@ def test_decay_reduces_only_the_last_record_time(monkeypatch):
                        .replace("n_replicas = 200", "n_replicas = 100")
                        .replace("seed = 7", "seed = 7\nrecord_times = "
                                 "0.01, 0.02, 0.04"))
-    real, trajs = runner.run_replicas, []
+    real, blocks = runner.run_replicas, []
 
     def spy(*args, **kwargs):
-        trajs.extend(real(*args, **kwargs))
-        return trajs
+        blocks.extend(real(*args, **kwargs))
+        return blocks
     monkeypatch.setattr(runner, "run_replicas", spy)
     rs = run_experiment(cfg)
-    assert len(trajs) == 100
-    assert all(tr.reduced.keys() == {0.04} for tr in trajs)
+    assert sum(len(blk.replica_ids) for blk in blocks) == 100
+    assert all(blk.reduced.keys() == {0.04} for blk in blocks)
     assert rs.reduced.keys() == {0.04} and rs.reports
 
 
@@ -574,15 +601,17 @@ def test_limit_constant_kinds_run_and_emit(kind, metric, sigma, tmp_path,
                        .replace("seed = 7",
                                 "seed = 7\nrecord_times = 0.02, 0.04")
                        + sigma)
-    real, trajs = runner.run_replicas, []
+    real, blocks = runner.run_replicas, []
 
     def spy(*args, **kwargs):
-        trajs.extend(real(*args, **kwargs))
-        return trajs
+        blocks.extend(real(*args, **kwargs))
+        return blocks
     monkeypatch.setattr(runner, "run_replicas", spy)
     rs = run_experiment(cfg)
-    assert trajs and all(not tr.fields_at_times for tr in trajs)
-    assert all(np.size(v) == 1 for tr in trajs for v in tr.reduced.values())
+    assert blocks and all(not blk.fields_at_times for blk in blocks)
+    # one window mean per replica and record time
+    assert all(v.shape == (len(blk.replica_ids),)
+               for blk in blocks for v in blk.reduced.values())
     eta_se = runner._limit_constants(cfg, rs).eta_se
     assert bool(np.any(eta_se != 0)) == bool(sigma)
     reps = [r for r in rs.reports if r.metric == metric]

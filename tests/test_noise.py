@@ -94,7 +94,7 @@ def slices_1d():
 
 def test_slice_mean_and_variance(slices_1d):
     lat, spec, cov, dt, slices = slices_1d
-    vals = np.stack([s.values for s in slices])
+    vals = np.stack(slices)
     cell = vals[:, 17]
     target_var = dt * cell_self_energy(lat.h, spec)  # 0.0533...
     assert target_var == pytest.approx(0.05333, rel=1e-3)
@@ -105,7 +105,7 @@ def test_slice_mean_and_variance(slices_1d):
 
 def test_slice_covariance_at_unit_distance(slices_1d):
     lat, spec, cov, dt, slices = slices_1d
-    vals = np.stack([s.values for s in slices])
+    vals = np.stack(slices)
     prod = (vals * np.roll(vals, 4, axis=1)).mean(axis=1)  # lag 4 = distance 1
     assert prod.mean() == pytest.approx(dt * 1.0, rel=0.10)
 
@@ -114,7 +114,7 @@ def test_covariance_diagnostic_band(slices_1d):
     lat, spec, cov, dt, slices = slices_1d
     # distances from h up to L/2
     lags = [(0,), (1,), (2,), (4,), (8,), (16,), (32,)]
-    rows = covariance_diagnostic(slices, lags, spec, dt)
+    rows = covariance_diagnostic(slices, lat, lags, spec, dt)
     assert not any(r.flagged for r in rows)
     for row in rows:
         assert 0.9 <= row.ratio <= 1.1
@@ -124,8 +124,8 @@ def test_covariance_diagnostic_determinism(slices_1d):
     lat, spec, cov, dt, _ = slices_1d
     a = [sample_slice(cov, dt, normals(lat, 5, i)) for i in range(200)]
     b = [sample_slice(cov, dt, normals(lat, 5, i)) for i in range(200)]
-    ra = covariance_diagnostic(a, [(0,), (3,)], spec, dt)
-    rb = covariance_diagnostic(b, [(0,), (3,)], spec, dt)
+    ra = covariance_diagnostic(a, lat, [(0,), (3,)], spec, dt)
+    rb = covariance_diagnostic(b, lat, [(0,), (3,)], spec, dt)
     for x, y in zip(ra, rb):
         assert x.empirical == y.empirical
 
@@ -133,16 +133,16 @@ def test_covariance_diagnostic_determinism(slices_1d):
 def test_covariance_diagnostic_errors(slices_1d):
     lat, spec, cov, dt, slices = slices_1d
     with pytest.raises(ValueError, match="empty lag"):
-        covariance_diagnostic(slices, [], spec, dt)
+        covariance_diagnostic(slices, lat, [], spec, dt)
     with pytest.raises(ValueError, match="100 slices"):
-        covariance_diagnostic(slices[:50], [(0,)], spec, dt)
+        covariance_diagnostic(slices[:50], lat, [(0,)], spec, dt)
 
 
 def test_dt_scaling_is_exact_per_stream(slices_1d):
     lat, spec, cov, dt, _ = slices_1d
-    a = np.stack([sample_slice(cov, dt, normals(lat, 3, i)).values
+    a = np.stack([sample_slice(cov, dt, normals(lat, 3, i))
                   for i in range(500)])
-    b = np.stack([sample_slice(cov, 2 * dt, normals(lat, 3, i)).values
+    b = np.stack([sample_slice(cov, 2 * dt, normals(lat, 3, i))
                   for i in range(500)])
     # same stream: doubling dt scales every slice by sqrt(2), so every
     # empirical second moment doubles
@@ -155,7 +155,7 @@ def test_isotropy_d2():
     spec = RieszSpec(2, 1.0)
     cov = build_embedding(lat, spec)
     dt = 0.01
-    vals = np.stack([sample_slice(cov, dt, normals(lat, 21, i)).values
+    vals = np.stack([sample_slice(cov, dt, normals(lat, 21, i))
                      for i in range(3000)])
     def lag_cov(la, lb):
         prod = (vals * np.roll(vals, (la, lb), axis=(1, 2))).mean(axis=(1, 2))

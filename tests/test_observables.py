@@ -82,8 +82,10 @@ def test_region_average_rows_do_not_depend_on_the_block():
     flat = np.random.default_rng(3).standard_normal((7, lat.n_cells))
     mean = np.linspace(0.0, 1.0, idx.size)
     block = region_average(flat, idx, mean, lat.cell_volume)
-    assert block == [region_average(flat[i:i + 1], idx, mean,
-                                    lat.cell_volume)[0] for i in range(7)]
+    assert block.shape == (7,)
+    assert block.tolist() == [region_average(flat[i:i + 1], idx, mean,
+                                             lat.cell_volume)[0]
+                              for i in range(7)]
 
 
 @pytest.mark.parametrize("d, n, L", [(1, 64, 8.0), (2, 32, 4.0)],
@@ -228,11 +230,12 @@ def window_mean_run():
     times = [0.0, 0.05, 0.1]
     window = Region("box", lat.L - 6 * np.sqrt(T)).cells(lat)
     reducer = functools.partial(window_sigma_mean, sigma=sigma, window=window)
-    trajs = simulate(cov, sigma, init, T, dt, times, [Region("ball", 2.0)],
-                     seed=31, replica_ids=range(150),
-                     mean_fields={t: mean_field(init, t, lat) for t in times},
-                     reducers={t: reducer for t in times})
-    means = {t: np.array([tr.reduced[t] for tr in trajs]) for t in times}
+    blocks = simulate(cov, sigma, init, T, dt, times, [Region("ball", 2.0)],
+                      seed=31, replica_ids=range(150),
+                      mean_fields={t: mean_field(init, t, lat) for t in times},
+                      reducers={t: reducer for t in times})
+    means = {t: np.concatenate([blk.reduced[t] for blk in blocks])
+             for t in times}
     return lat, window, means
 
 
@@ -278,12 +281,13 @@ def test_translated_region_variance_invariance():
         return lat.cell_volume * rolled[:, idx].sum(axis=1)
 
     g0, g1 = [], []
-    for tr in simulate(cov, sigma, init, T, dt, [T], [region], seed=55,
-                       replica_ids=range(600),
-                       mean_fields={T: mean_field(init, T, lat)},
-                       reducers={T: translated}):
-        g0.append(tr.region_averages[(T, 0)])
-        g1.append(tr.reduced[T])
+    for blk in simulate(cov, sigma, init, T, dt, [T], [region], seed=55,
+                        replica_ids=range(600),
+                        mean_fields={T: mean_field(init, T, lat)},
+                        reducers={T: translated}):
+        g0.extend(blk.region_averages[T][:, 0])
+        g1.extend(blk.reduced[T])
+    assert len(g0) == len(g1) == 600
     v0, v1 = np.var(g0, ddof=1), np.var(g1, ddof=1)
     # variance of a variance estimate: rel se ~ sqrt(2/N) ~ 6%
     assert abs(np.log(v1 / v0)) < 4 * np.sqrt(2 / 599) * np.sqrt(2)
@@ -300,12 +304,10 @@ def test_box_vs_ball_variance_ratio_d2():
     T, dt = 0.04, 0.002
     R = 1.0
     regions = [Region("ball", R), Region("box", R)]
-    gb, gx = [], []
-    for tr in simulate(cov, sigma, init, T, dt, [T], regions, seed=91,
-                       replica_ids=range(400),
-                       mean_fields={T: mean_field(init, T, lat)}):
-        gb.append(tr.region_averages[(T, 0)])
-        gx.append(tr.region_averages[(T, 1)])
+    blocks = simulate(cov, sigma, init, T, dt, [T], regions, seed=91,
+                      replica_ids=range(400),
+                      mean_fields={T: mean_field(init, T, lat)})
+    gb, gx = np.concatenate([blk.region_averages[T] for blk in blocks]).T
     k_ball = k_beta(Region("ball", 1.0), spec)
     k_box = k_beta(Region("box", 1.0), spec)
     emp_ratio = np.var(gx, ddof=1) / np.var(gb, ddof=1)

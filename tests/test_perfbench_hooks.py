@@ -45,8 +45,8 @@ def test_every_traced_name_resolves(launch):
 
 
 def test_chunk_and_region_hooks_see_the_run(launch, tmp_path, monkeypatch):
-    # the chunk wrapper reads fields_at_times off every returned trajectory,
-    # and the region sums reach observables.region_average on the module
+    # the chunk wrapper reads fields_at_times off every returned block, and
+    # the region sums reach observables.region_average on the module
     from riesz_she import observables
     probe = launch.Probe(str(tmp_path / "probe.json"), traced=True)
     monkeypatch.setattr(runner, "_run_chunk",
@@ -54,8 +54,28 @@ def test_chunk_and_region_hooks_see_the_run(launch, tmp_path, monkeypatch):
     monkeypatch.setattr(observables, "region_average",
                         probe._layer(observables.region_average))
     cfg = parse_config(CFG)
-    trajs = runner.run_replicas(cfg, build_embedding(cfg.lattice, cfg.spec))
-    assert all(tr.fields_at_times == {} for tr in trajs)
+    blocks = runner.run_replicas(cfg, build_embedding(cfg.lattice, cfg.spec))
+    assert all(blk.fields_at_times == {} for blk in blocks)
     assert [c[2] for c in probe.chunks] == [0]
     # one call per region and record time for the one block
     assert probe.layers["observables.region_average"][0] == 2
+
+
+def test_timed_probe_sees_the_run(launch, tmp_path, monkeypatch):
+    # the timed run wraps only cli.run_experiment, runner.run_replicas,
+    # runner._run_chunk, runner.build_embedding and runner.mean_field
+    from riesz_she import cli
+    for mod, attr in ((cli, "run_experiment"), (runner, "run_replicas"),
+                      (runner, "_run_chunk"), (runner, "build_embedding"),
+                      (runner, "mean_field")):
+        monkeypatch.setattr(mod, attr, getattr(mod, attr))  # undone after
+    probe = launch.Probe(str(tmp_path / "probe.json"), traced=False)
+    probe.install()
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(CFG)
+    assert cli.main(["variance-limit", "--config", str(cfgfile)]) in (0, 1)
+    # 3 replicas of T / dt = 2 steps
+    assert [span[2] for span in probe.replicas] == [6]
+    assert probe.marks["setup_end"] > 0
+    assert [c[2] for c in probe.chunks] == [0]
+    assert probe.layers == {}

@@ -207,7 +207,7 @@ def test_correlation_decay_on_noise_slices():
     spec = RieszSpec(1, 0.5)
     cov = build_embedding(lat, spec)
     lags = [4, 6, 8, 12, 16]
-    slices = np.stack([sample_slice(cov, 1.0, normals(lat, 17, i)).values
+    slices = np.stack([sample_slice(cov, 1.0, normals(lat, 17, i))
                        for i in range(2000)])
     lag_means = sigma_lag_means(slices, NonlinearitySpec("linear"), lags)
     rep, rows = correlation_decay_check(lag_means, lags, lat, spec.beta)
