@@ -21,6 +21,7 @@ FCLT_CORR_TOL = 0.05          # |empirical - limit| correlation per time pair
 INCREMENT_SLOPE_FACTOR = 0.8  # increment slope must reach this * p/2
 DECAY_MAX_MIN_RATIO = 5.0     # max/min of the decay envelope
 LEMMA31_REFINE_TOL = 0.02     # relative change of the max under refinement
+_KUMMER_MAX_Z = 50.0          # 1F1(a; b; -z): Kummer series up to here
 
 
 @dataclass
@@ -63,14 +64,87 @@ def variance_stderr(values):
     return float(((v - v.mean()) ** 2).std(ddof=1) / np.sqrt(len(v)))
 
 
+# Cephes' ndtr/erf/erfc rational coefficients, highest power first. In the
+# Q, S and U denominators the leading coefficient 1 is implicit.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+           5.01905042251180477414E0, 6.16021097993053585195E0,
+           7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
+           1.20489539808096656605E1, 1.70814450747565897222E1,
+           9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2  # log(2**1024)
+
+
+def _polevl(x, coef, monic=False):
+    """Horner's rule as cephes' polevl, or p1evl with an implicit leading 1."""
+    ans = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtr(a):
+    """Standard normal CDF, cephes' ndtr with its erf and erfc branches.
+
+    Every operation is one IEEE double operation in cephes' order, and the
+    exponential is libm's through math.exp (np.exp may round differently),
+    so the floats are those of scipy.special.ndtr.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    x = a * math.sqrt(0.5)  # M_SQRT1_2, as sqrt rounds correctly
+    z = np.abs(x)
+    y = np.empty_like(x)
+    # Cephes takes 0.5 + 0.5 erf(x) below |x| = 1/sqrt(2) and 0.5 erfc(|x|)
+    # = 0.5 (1 - erf|x|), reflected for x > 0, from there up to 1. There
+    # erf|x| lies in [0.68, 0.85], so by Sterbenz's lemma 1 - erf|x| and
+    # 0.5 - 0.5 erf|x| are exact and both forms round to the same float:
+    # one erf branch up to |x| = 1 gives cephes' values.
+    inner = z < 1.0
+    xi = x[inner]
+    erf = xi * _polevl(xi * xi, _ERF_T) / _polevl(xi * xi, _ERF_U, monic=True)
+    y[inner] = 0.5 + 0.5 * erf
+    with np.errstate(over="ignore"):  # z * z is inf past 1e154
+        outer = ~inner & (z * z <= _MAXLOG)
+    zo = z[outer]
+    near = zo < 8.0
+    p = np.where(near, _polevl(zo, _ERFC_P), _polevl(zo, _ERFC_R))
+    q = np.where(near, _polevl(zo, _ERFC_Q, monic=True),
+                 _polevl(zo, _ERFC_S, monic=True))
+    e = np.fromiter(map(math.exp, (-zo * zo).tolist()), np.float64, len(zo))
+    y[outer] = 0.5 * (e * p / q)
+    y[~inner & ~outer] = 0.0  # erfc underflows past MAXLOG
+    upper = ~inner & (x > 0)
+    y[upper] = 1.0 - y[upper]
+    y[np.isnan(a)] = np.nan
+    return y
+
+
 def ks_distance(standardized):
-    """sup_x |empirical CDF - Phi(x)|, both one-sided gaps at each point."""
+    """sup_x |empirical CDF - Phi(x)|, both one-sided gaps at each point.
+
+    Phi is `_ndtr`, a port of cephes' ndtr, so the distance has the floats
+    of scipy.special.ndtr (and scipy.stats.norm.cdf).
+    """
     x = np.sort(np.asarray(standardized, dtype=np.float64))
     n = len(x)
     if n < 100:
         raise ValueError("need >= 100 values for a distance estimate")
-    from scipy.special import ndtr  # the standard normal CDF
-    cdf = ndtr(x)
+    cdf = _ndtr(x)
     i = np.arange(1, n + 1)
     return float(max((i / n - cdf).max(), (cdf - (i - 1) / n).max()))
 
@@ -271,6 +345,47 @@ def correlation_decay_check(lag_means, lag_cells, lattice, beta):
         note="max/min of |Psi-eta^2|*dist^beta over upper half of lags"), rows
 
 
+def _series(z, ratio, n_max=math.inf):
+    """Sum of the terms t_0 = 1, t_{k+1} = t_k * ratio(k, z), elementwise
+    over the array z, until every term is below 2^-56 of its sum (1/16
+    ulp) or n_max terms have been added."""
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    k = 0
+    while k < n_max and np.any(np.abs(term) > 2.0 ** -56 * np.abs(total)):
+        term *= ratio(k, z)
+        total += term
+        k += 1
+    return total
+
+
+def _hyp1f1_neg(a, b, z):
+    """1F1(a; b; -z) for each z >= 0 in the array z, with 0 < a < b.
+
+    Up to z = _KUMMER_MAX_Z = 50 it is Kummer's transformation
+    e^{-z} 1F1(b - a; b; z), a series of positive terms (DLMF 13.2.39).
+    Past it e^z heads for overflow (near z = 709), and the large-z expansion
+    Gamma(b)/Gamma(b - a) z^{-a} sum_k (a)_k (a - b + 1)_k / k! z^{-k}
+    (DLMF 13.7.2) is used. Its exponentially small second term, of relative
+    size e^{-z} z^{2a - b} Gamma(b - a)/Gamma(a), is below 1e-16 there for
+    d <= 3 and beta <= d - 0.003 (a = beta/2, b = d/2). The expansion's
+    terms shrink while k < z - a, so it stops by k = 50 - b, before it can
+    diverge; for d <= 3 they fall below 1/16 ulp well before that.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    small = z <= _KUMMER_MAX_Z
+    zs = z[small]
+    out[small] = np.exp(-zs) * _series(
+        zs, lambda k, x: (b - a + k) / (b + k) * x / (k + 1))
+    zl = z[~small]
+    out[~small] = (math.exp(math.lgamma(b) - math.lgamma(b - a)) * zl ** -a
+                   * _series(zl, lambda k, x:
+                             (a + k) * (a - b + 1 + k) / (k + 1) / x,
+                             n_max=_KUMMER_MAX_Z - b))
+    return out
+
+
 def _gaussian_smoothed_kernel(r, s, beta, d):
     """E |y + sqrt(s) Z|^{-beta} at |y| = r, Z standard Gaussian in R^d,
     for each s in the array s; needs beta < d.
@@ -280,13 +395,14 @@ def _gaussian_smoothed_kernel(r, s, beta, d):
     substitution w = 2us/(1+2us) gives Kummer's integral, and Kummer's
     transformation (DLMF 13.2) the closed form
     (2s)^{-beta/2} Gamma((d-beta)/2) / Gamma(d/2) 1F1(beta/2; d/2; -r^2/(2s)).
+    The 1F1 is `_hyp1f1_neg`: Kummer's series for r^2/(2s) <= 50 and the
+    large-argument expansion past it.
     """
-    from scipy.special import hyp1f1  # the confluent hypergeometric 1F1
     s = np.asarray(s, dtype=np.float64)
     gamma_ratio = math.exp(math.lgamma((d - beta) / 2.0)
                            - math.lgamma(d / 2.0))
     return ((2.0 * s) ** (-beta / 2.0) * gamma_ratio
-            * hyp1f1(beta / 2.0, d / 2.0, -r * r / (2.0 * s)))
+            * _hyp1f1_neg(beta / 2.0, d / 2.0, r * r / (2.0 * s)))
 
 
 def lemma31_check(spec, y):

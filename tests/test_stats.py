@@ -9,8 +9,9 @@ import pytest
 from riesz_she import (DegenerateSigmaError, Lattice, LimitConstants,
                        NonlinearitySpec, RieszSpec, build_embedding,
                        sample_slice)
-from riesz_she.stats import (KS_FLOOR_1PCT, StatsReport,
-                             _gaussian_smoothed_kernel, _linfit,
+from riesz_she.stats import (_KUMMER_MAX_Z, KS_FLOOR_1PCT, StatsReport,
+                             _gaussian_smoothed_kernel, _hyp1f1_neg, _linfit,
+                             _ndtr,
                              correlation_decay_check, functional_cov_check,
                              increment_moment_fit, increment_r_scaling,
                              ks_distance, lemma31_check, rate_fit,
@@ -367,7 +368,7 @@ def _scipy_modules_after(code):
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env=env, cwd=root)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return proc.stdout.strip().splitlines()[-1]  # after anything code prints
 
 
 def test_cli_import_loads_no_scipy():
@@ -392,11 +393,81 @@ assert rs.constants
 """) == "[]"
 
 
-def test_lemma31_loads_no_scipy_integrate():
-    # the smoothed kernel is a closed form: scipy.special only, no quad
-    mods = _scipy_modules_after("""
-from riesz_she import RieszSpec, lemma31_check
+def test_ks_distance_and_lemma31_load_no_scipy():
+    # the normal CDF and the 1F1 are numpy/math ports
+    assert _scipy_modules_after("""
+import numpy as np
+from riesz_she import RieszSpec, ks_distance, lemma31_check
 assert lemma31_check(RieszSpec(1, 0.5), [1.0]).passed
+assert lemma31_check(RieszSpec(3, 1.9), [1.0, 0.0, 0.0]).passed
+assert ks_distance(np.random.default_rng(1).standard_normal(4000)) < 0.05
+""") == "[]"
+
+
+def test_clt_and_lemma31_run_with_scipy_blocked(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("""
+kind = clt
+d = 1
+beta = 0.5
+T = 0.04
+dt = 0.01
+R_list = 0.5, 1, 2
+n_replicas = 100
+seed = 7
+y_list = 0.5, 1
+
+[lattice]
+n = 32
+L = 4.0
 """)
-    assert "scipy.special" in mods
-    assert "scipy.integrate" not in mods
+    # a None entry in sys.modules makes every scipy import an ImportError
+    assert _scipy_modules_after("""
+import sys
+sys.modules["scipy"] = None
+from riesz_she.cli import main
+for kind in ("clt", "lemma31"):
+    assert main([kind, "--config", %r, "--out", %r]) in (0, 1), kind
+""" % (str(cfg), str(tmp_path / "out"))) == "['scipy']"
+    assert (tmp_path / "out" / "reports.csv").read_text().count(
+        "lemma31_max_ratio") == 2
+
+
+def test_ndtr_same_floats_as_scipy():
+    from scipy.special import ndtr
+    rng = np.random.default_rng(1937)
+    # cephes splits erf from erfc at x = +-1, _ndtr at x = +-sqrt(2);
+    # x = +-8 sqrt(2) switches erfc's rational form, and past +-37.68
+    # exp(-x^2/2) underflows below exp(-MAXLOG)
+    edges = [0.0, 1.0, -1.0, 8.0 * np.sqrt(2.0), -8.0 * np.sqrt(2.0),
+             37.5, -37.5, np.sqrt(2.0 * 709.782712893384),
+             -np.sqrt(2.0 * 709.782712893384), np.sqrt(2.0), -np.sqrt(2.0)]
+    near = []
+    for e in edges:  # 64 floats on either side of each edge
+        up, down = [e], [e]
+        for _ in range(64):
+            up.append(np.nextafter(up[-1], np.inf))
+            down.append(np.nextafter(down[-1], -np.inf))
+        near += up + down
+    x = np.concatenate([rng.uniform(-40.0, 40.0, 100_000),
+                        rng.standard_normal(20_000),
+                        np.linspace(-40.0, 40.0, 80_001), near,
+                        [np.inf, -np.inf, 1e300, -1e300, np.nan]])
+    got, want = _ndtr(x), ndtr(x)
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), x[~same][:10]
+
+
+@pytest.mark.parametrize("d, betas", [(1, (0.25, 0.5, 0.9)),
+                                      (2, (0.5, 1.0, 1.5)),
+                                      (3, (0.5, 1.0, 1.5, 1.9))])
+def test_hyp1f1_neg_matches_scipy(d, betas):
+    from scipy.special import hyp1f1
+    # both sides of the switch from Kummer's series to the large-z expansion
+    z = np.concatenate([np.linspace(0.0, 2000.0, 20_001),
+                        np.logspace(-6.0, 3.3, 2000),
+                        _KUMMER_MAX_Z + np.linspace(-5.0, 5.0, 2001)])
+    for beta in betas:
+        a, b = beta / 2.0, d / 2.0
+        assert _hyp1f1_neg(a, b, z) == \
+            pytest.approx(hyp1f1(a, b, -z), rel=1e-13, abs=0)
