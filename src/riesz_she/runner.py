@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +77,9 @@ def run_replicas(cfg, cov, workers=1):
     """simulate's BlockResults for all replicas, in replica_id order.
 
     Workers take whole blocks of block_size(lattice) replicas and reduce
-    record-time fields as the kind needs (_reducers).
+    record-time fields as the kind needs (_reducers). One chunk runs in
+    this process and loads no pool machinery; more fork a process pool,
+    whose modules are imported only then.
     """
     reducers = _reducers(cfg)
     mean_fields = {t: mean_field(cfg.init, t, cfg.lattice)
@@ -95,6 +96,7 @@ def run_replicas(cfg, cov, workers=1):
     if n_chunks <= 1:
         parts = map(_run_chunk, args)
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_chunks) as pool:
             parts = list(pool.map(_run_chunk, args))
     return sorted((blk for part in parts for blk in part),
@@ -342,13 +344,11 @@ def emit_results(rs, outdir):
 
     path = os.path.join(outdir, "samples.csv")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replica_id", "R", "t", "G_R"])
-        for R in sorted(rs.samples):
-            for t in sorted(rs.samples[R]):
-                for rid, v in enumerate(rs.samples[R][t]):
-                    w.writerow([rid, _fmt(float(R)), _fmt(float(t)),
-                                _fmt(float(v))])
+        fh.write("replica_id,R,t,G_R\r\n" + "".join(
+            "%d,%.17g,%.17g,%.17g\r\n" % (rid, R, t, v)
+            for R in sorted(rs.samples)
+            for t in sorted(rs.samples[R])
+            for rid, v in enumerate(rs.samples[R][t].tolist())))
     written.append(path)
 
     path = os.path.join(outdir, "reports.csv")

@@ -119,8 +119,9 @@ def test_criterion_02_variance_limit(reference_run):
     assert 0.85 <= factor <= 1.15
     assert shrinks
     assert rel[16.0] <= 0.15, \
-        "known red: true lattice value sits 14.66%% above the target " \
-        "(exact moment recursion), so the 15%% tolerance is a coin flip " \
+        "known red: true lattice value sits 14.53%% above the target " \
+        "(scratch moment recursion; its oracle waits on ROADMAP item 1), " \
+        "so the 15%% tolerance is a coin flip " \
         "at N=4000; observed %.3f" % rel[16.0]
 
 
@@ -140,8 +141,9 @@ def test_criterion_04_gaussianity(reference_run):
     ok = ks16 < 0.05
     report(4, "gaussianity (KS)", ok, "KS(R=16, N=4000) = %.4f vs 0.05" % ks16)
     assert ok, \
-        "known red: the exact third-moment recursion gives skew(G_16) " \
-        "= 1.17 independent of dt, hence a true KS distance near 0.08; " \
+        "known red: a scratch third-moment recursion (its oracle waits " \
+        "on ROADMAP item 1) gives skew(G_16) = 1.16, hence a true KS " \
+        "distance near 0.08; " \
         "the unknown rate constant exceeds what the 0.05 tolerance assumes"
 
 

@@ -396,7 +396,9 @@ def test_pool_has_one_worker_per_chunk(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", FakePool)
+    # run_replicas imports the pool class from its module only when it
+    # forks, so the fake replaces it there
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     for n, want in (("1024", [4, 3]), ("32", [])):
         cfg = parse_config(MINIMAL.replace("n = 32", "n = " + n)
                            .replace("n_replicas = 200", "n_replicas = 120"))

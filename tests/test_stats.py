@@ -360,26 +360,60 @@ def test_stats_report_as_row():
     assert row["stderr"] == ""
 
 
-def _scipy_modules_after(code):
+SMALL_CLT = """
+kind = clt
+d = 1
+beta = 0.5
+T = 0.04
+dt = 0.01
+R_list = 0.5, 1, 2
+n_replicas = 100
+seed = 7
+y_list = 0.5, 1
+
+[lattice]
+n = 32
+L = 4.0
+"""
+
+
+def _modules_after(code, packages=("scipy",)):
+    """The loaded modules under the top-level packages, after running code
+    in a fresh interpreter, as the printed sorted list."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "print(sorted(m for m in sys.modules if m.split('.')[0] in %r))"
+         % (tuple(packages),)],
         capture_output=True, text=True, env=env, cwd=root)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]  # after anything code prints
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy loads only inside the functions that need it (KS distance,
-    # lemma 3.1 kernel)
-    assert _scipy_modules_after("import riesz_she.cli") == "[]"
+    # the normal CDF and the 1F1 are numpy/math ports, so no runtime path
+    # imports scipy
+    assert _modules_after("import riesz_she.cli") == "[]"
+
+
+def test_one_worker_run_loads_no_pool_modules(tmp_path):
+    # the process pool is imported only when a run forks workers; the byte
+    # tests comparing 1 and 2 workers cover the pool path
+    pool = ("concurrent", "multiprocessing")
+    assert _modules_after("import riesz_she.cli", pool) == "[]"
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CLT)
+    assert _modules_after("""
+from riesz_she.cli import main
+assert main(["clt", "--config", %r, "--out", %r, "--workers", "1"]) in (0, 1)
+""" % (str(cfg), str(tmp_path / "out")), pool) == "[]"
+    assert (tmp_path / "out" / "samples.csv").exists()
 
 
 def test_constants_and_embedding_load_no_scipy():
     # the kernel constants are numpy formulas in every dimension
-    assert _scipy_modules_after("""
+    assert _modules_after("""
 from riesz_she import Lattice, Region, RieszSpec, build_embedding, k_beta
 from riesz_she.config import parse_config
 from riesz_she.runner import run_experiment
@@ -395,7 +429,7 @@ assert rs.constants
 
 def test_ks_distance_and_lemma31_load_no_scipy():
     # the normal CDF and the 1F1 are numpy/math ports
-    assert _scipy_modules_after("""
+    assert _modules_after("""
 import numpy as np
 from riesz_she import RieszSpec, ks_distance, lemma31_check
 assert lemma31_check(RieszSpec(1, 0.5), [1.0]).passed
@@ -406,23 +440,9 @@ assert ks_distance(np.random.default_rng(1).standard_normal(4000)) < 0.05
 
 def test_clt_and_lemma31_run_with_scipy_blocked(tmp_path):
     cfg = tmp_path / "small.cfg"
-    cfg.write_text("""
-kind = clt
-d = 1
-beta = 0.5
-T = 0.04
-dt = 0.01
-R_list = 0.5, 1, 2
-n_replicas = 100
-seed = 7
-y_list = 0.5, 1
-
-[lattice]
-n = 32
-L = 4.0
-""")
+    cfg.write_text(SMALL_CLT)
     # a None entry in sys.modules makes every scipy import an ImportError
-    assert _scipy_modules_after("""
+    assert _modules_after("""
 import sys
 sys.modules["scipy"] = None
 from riesz_she.cli import main
