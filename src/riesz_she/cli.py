@@ -30,6 +30,10 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 2 on a usage error, 0 on --help
         return EXIT_CONFIG if exc.code else 0
+    if args.workers < 1:
+        print("config error: --workers must be at least 1, got %d"
+              % args.workers, file=sys.stderr)
+        return EXIT_CONFIG
     overrides = {"kind": args.kind, "seed": args.seed,
                  "n_replicas": args.replicas}
     try:

@@ -7,7 +7,6 @@ stability margin), record_times = [T], ball regions at the origin.
 """
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,23 +78,16 @@ def _int_list(s):
     return [int(v) for v in s.split(",") if v.strip() != ""]
 
 
-@dataclass
 class ExperimentConfig:
-    kind: str
-    spec: RieszSpec
-    lattice: Lattice
-    sigma: NonlinearitySpec
-    init: InitialCondition
-    T: float
-    dt: float
-    record_times: list
-    R_list: list
-    region_kind: str
-    n_replicas: int
-    seed: int
-    lags: list = None
-    y_list: list = None
-    p_moment: int = 2
+    def __init__(self, kind, spec, lattice, sigma, init, T, dt, record_times,
+                 R_list, region_kind, n_replicas, seed, lags=None,
+                 y_list=None, p_moment=2):
+        self.kind, self.spec, self.lattice = kind, spec, lattice
+        self.sigma, self.init, self.T, self.dt = sigma, init, T, dt
+        self.record_times, self.R_list = record_times, R_list
+        self.region_kind, self.n_replicas, self.seed = (
+            region_kind, n_replicas, seed)
+        self.lags, self.y_list, self.p_moment = lags, y_list, p_moment
 
     @property
     def eta_exact(self):

@@ -5,8 +5,6 @@ where S_t is the periodic heat semigroup applied spectrally and dW is one
 step-integrated noise slice (variance proportional to dt).
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import observables
@@ -31,22 +29,22 @@ class DegenerateSigmaError(Exception):
 _SIGMA_KINDS = ("linear", "affine", "sine-affine", "clipped-linear")
 
 
-@dataclass(frozen=True)
 class NonlinearitySpec:
     """Lipschitz nonlinearity sigma acting cellwise on the field.
 
     kinds: linear sigma(x)=x; affine(a,b) sigma(x)=a*x+b;
     sine-affine(a,b,c) sigma(x)=a*sin(x)+b*x+c; clipped-linear sigma(x)=max(x,0).
     """
-    kind: str
-    a: float = 1.0
-    b: float = 0.0
-    c: float = 0.0
 
-    def __post_init__(self):
-        if self.kind not in _SIGMA_KINDS:
+    def __init__(self, kind, a=1.0, b=0.0, c=0.0):
+        if kind not in _SIGMA_KINDS:
             raise ValueError("unknown sigma kind %r (choose from %s)"
-                             % (self.kind, ", ".join(_SIGMA_KINDS)))
+                             % (kind, ", ".join(_SIGMA_KINDS)))
+        self.kind, self.a, self.b, self.c = kind, a, b, c
+
+    def __repr__(self):
+        return "NonlinearitySpec(kind=%r, a=%r, b=%r, c=%r)" % (
+            self.kind, self.a, self.b, self.c)
 
     def __call__(self, v, out=None, scratch=None):
         """sigma(v), written into out when given. sine-affine keeps b * v in
@@ -69,19 +67,20 @@ class NonlinearitySpec:
         return out
 
 
-@dataclass(frozen=True)
 class InitialCondition:
     """u0 = value, or the cosine start
     offset + amplitude * cos(cycles * pi * x_0 / L) along the first axis."""
-    kind: str  # "constant" | "cosine"
-    value: float = 1.0
-    offset: float = 0.0
-    amplitude: float = 0.0
-    cycles: int = 1
 
-    def __post_init__(self):
-        if self.kind not in ("constant", "cosine"):
-            raise ValueError("unknown initial-condition kind %r" % (self.kind,))
+    def __init__(self, kind, value=1.0, offset=0.0, amplitude=0.0, cycles=1):
+        if kind not in ("constant", "cosine"):
+            raise ValueError("unknown initial-condition kind %r" % (kind,))
+        self.kind, self.value, self.offset = kind, value, offset
+        self.amplitude, self.cycles = amplitude, cycles
+
+    def __repr__(self):
+        return ("InitialCondition(kind=%r, value=%r, offset=%r, amplitude=%r, "
+                "cycles=%r)" % (self.kind, self.value, self.offset,
+                                self.amplitude, self.cycles))
 
     def field_on(self, lattice):
         if self.kind == "constant":
@@ -93,24 +92,26 @@ class InitialCondition:
                             np.broadcast_to(values, lattice.shape).copy())
 
 
-@dataclass
 class FieldState:
-    field: SpatialField
-    step_index: int
-    dt: float
+    def __init__(self, field, step_index, dt):
+        self.field, self.step_index, self.dt = field, step_index, dt
 
     @property
     def time(self):
         return self.step_index * self.dt
 
 
-@dataclass
 class BlockResult:
     """What simulate records for one block; row i is replica_ids[i]."""
-    replica_ids: list
-    region_averages: dict = field(default_factory=dict)  # time -> (B, n_regions)
-    reduced: dict = field(default_factory=dict)  # time -> reducer's (B, ...) array
-    fields_at_times: dict = field(default_factory=dict)  # empty; perfbench reads it
+
+    def __init__(self, replica_ids, region_averages=None, reduced=None,
+                 fields_at_times=None):
+        # time -> (B, n_regions) array, and time -> the reducer's (B, ...)
+        # array; fields_at_times stays empty, perfbench reads it
+        self.replica_ids = replica_ids
+        self.region_averages = {} if region_averages is None else region_averages
+        self.reduced = {} if reduced is None else reduced
+        self.fields_at_times = {} if fields_at_times is None else fields_at_times
 
 
 def heat_multiplier(lattice, tau):

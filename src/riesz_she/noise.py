@@ -6,8 +6,6 @@ covariance matrix is a circulant, so it is diagonalized exactly by the
 DFT and slices can be drawn in O(n^d log n) by frequency-domain coloring.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 # covariance_diagnostic flags a lag whose empirical/target ratio leaves this
@@ -20,33 +18,34 @@ class EmbeddingError(Exception):
     """Circulant eigenvalues too negative to clamp safely."""
 
 
-@dataclass(frozen=True)
 class RieszSpec:
     """Kernel parameters: dimension d and exponent beta, 0 < beta < min(d, 2)."""
-    d: int
-    beta: float
 
-    def __post_init__(self):
-        if self.d < 1 or int(self.d) != self.d:
-            raise ValueError("d must be a positive integer, got %r" % (self.d,))
-        if not (0.0 < self.beta < min(self.d, 2)):
+    def __init__(self, d, beta):
+        if d < 1 or int(d) != d:
+            raise ValueError("d must be a positive integer, got %r" % (d,))
+        if not (0.0 < beta < min(d, 2)):
             raise ValueError(
                 "beta must lie in (0, min(d,2)) = (0, %g); got beta=%g"
-                % (min(self.d, 2), self.beta))
+                % (min(d, 2), beta))
+        self.d, self.beta = d, beta
+
+    def __repr__(self):
+        return "RieszSpec(d=%r, beta=%r)" % (self.d, self.beta)
 
 
-@dataclass(frozen=True)
 class Lattice:
     """Periodic lattice on the torus [-L, L)^d with n cells per axis."""
-    d: int
-    n: int
-    L: float
 
-    def __post_init__(self):
-        if self.n < 2 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("n must be a power of two >= 2, got %r" % (self.n,))
-        if self.L <= 0:
-            raise ValueError("half extent L must be positive, got %r" % (self.L,))
+    def __init__(self, d, n, L):
+        if n < 2 or (n & (n - 1)) != 0:
+            raise ValueError("n must be a power of two >= 2, got %r" % (n,))
+        if L <= 0:
+            raise ValueError("half extent L must be positive, got %r" % (L,))
+        self.d, self.n, self.L = d, n, L
+
+    def __repr__(self):
+        return "Lattice(d=%r, n=%r, L=%r)" % (self.d, self.n, self.L)
 
     @property
     def h(self):
@@ -81,19 +80,17 @@ class Lattice:
         return np.sqrt(sum(a ** 2 for a in axes))
 
 
-@dataclass
 class SpatialField:
     """Real field on the lattice, one value per cell center."""
-    lattice: Lattice
-    values: np.ndarray
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.lattice.shape:
+    def __init__(self, lattice, values):
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != lattice.shape:
             raise ValueError("field shape %r != lattice shape %r"
-                             % (self.values.shape, self.lattice.shape))
-        if not np.all(np.isfinite(self.values)):
+                             % (values.shape, lattice.shape))
+        if not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite values")
+        self.lattice, self.values = lattice, values
 
 
 def checked_field(lattice, values):
@@ -155,19 +152,18 @@ def cell_self_energy(h, spec):
     return unit * h ** (-b)
 
 
-@dataclass(frozen=True)
 class SpectralCovariance:
     """Eigenvalues of the cell-covariance circulant for unit time step.
 
     sqrt_eig_half is the nonnegative square root restricted to the rfft
     half-spectrum; sampling scales it by sqrt(dt).
     """
-    lattice: Lattice
-    spec: RieszSpec
-    row: np.ndarray
-    eigenvalues: np.ndarray
-    sqrt_eig_half: np.ndarray = field(repr=False)
-    clamped_mass: float
+
+    def __init__(self, lattice, spec, row, eigenvalues, sqrt_eig_half,
+                 clamped_mass):
+        self.lattice, self.spec, self.row = lattice, spec, row
+        self.eigenvalues, self.sqrt_eig_half = eigenvalues, sqrt_eig_half
+        self.clamped_mass = clamped_mass
 
 
 def build_embedding(lattice, spec):
@@ -225,15 +221,12 @@ def sample_slice(cov, dt, w, out=None, spec=None):
     return spectral_multiply(w, factor, out, spec)
 
 
-@dataclass
 class CovarianceLagRow:
-    lag: tuple
-    distance: float
-    empirical: float
-    theoretical: float
-    ratio: float
-    stderr: float
-    flagged: bool
+    def __init__(self, lag, distance, empirical, theoretical, ratio, stderr,
+                 flagged):
+        self.lag, self.distance, self.empirical = lag, distance, empirical
+        self.theoretical, self.ratio = theoretical, ratio
+        self.stderr, self.flagged = stderr, flagged
 
 
 def covariance_diagnostic(slices, lattice, lags, spec, dt):

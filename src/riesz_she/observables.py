@@ -7,26 +7,26 @@ the kernel double integral over the unit region and eta(s) is the
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .noise import cube_pair_integral
 
 
-@dataclass(frozen=True)
 class Region:
     """Ball {|x| <= R} or box {max|x_i| <= R}, centered at the origin."""
-    kind: str  # "ball" | "box"
-    radius: float
 
-    def __post_init__(self):
-        if self.kind not in ("ball", "box"):
+    def __init__(self, kind, radius):
+        if kind not in ("ball", "box"):
             raise ValueError("region kind must be ball or box, got %r"
-                             % (self.kind,))
-        if not self.radius > 0:  # also rejects nan
+                             % (kind,))
+        if not radius > 0:  # also rejects nan
             raise ValueError("region size must be positive, got %r"
-                             % (self.radius,))
+                             % (radius,))
+        self.kind, self.radius = kind, radius
+
+    def __repr__(self):
+        return "Region(kind=%r, radius=%r)" % (self.kind, self.radius)
 
     def mask(self, lattice):
         """Boolean grid of cell centers inside the region."""
@@ -95,27 +95,22 @@ def k_beta(region_unit, spec):
     return base * region_unit.radius ** (2 * d - b)
 
 
-@dataclass
 class LimitConstants:
     """k constant plus the tabulated eta(s) = E sigma(u(s, .)) curve."""
-    k_beta: float
-    t_grid: np.ndarray
-    eta: np.ndarray
-    eta_se: np.ndarray = None
 
-    def __post_init__(self):
-        self.t_grid = np.asarray(self.t_grid, dtype=np.float64)
-        self.eta = np.asarray(self.eta, dtype=np.float64)
-        if self.eta_se is None:
-            self.eta_se = np.zeros_like(self.eta)
-        if self.k_beta <= 0:
+    def __init__(self, k_beta, t_grid, eta, eta_se=None):
+        t_grid = np.asarray(t_grid, dtype=np.float64)
+        eta = np.asarray(eta, dtype=np.float64)
+        if k_beta <= 0:
             raise ValueError("k constant must be positive")
-        if self.t_grid.shape != self.eta.shape:
+        if t_grid.shape != eta.shape:
             raise ValueError("t grid and eta curve must align")
-        if not np.all(np.isfinite(self.eta)):
+        if not np.all(np.isfinite(eta)):
             raise ValueError("eta curve must be finite")
-        if np.any(np.diff(self.t_grid) <= 0):
+        if np.any(np.diff(t_grid) <= 0):
             raise ValueError("t grid must be strictly increasing")
+        self.k_beta, self.t_grid, self.eta = k_beta, t_grid, eta
+        self.eta_se = np.zeros_like(eta) if eta_se is None else eta_se
 
     def eta_sq_integral(self, t):
         """Trapezoidal integral of eta^2 over [0, t]; t must be on the grid."""

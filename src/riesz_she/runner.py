@@ -12,12 +12,10 @@ import functools
 import json
 import os
 import time as _time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
 from .engine import DegenerateSigmaError, block_size, mean_field, simulate
 from .noise import build_embedding, covariance_diagnostic, sample_slice
 from .observables import (LimitConstants, Region, constants_rows, estimate_eta,
@@ -36,14 +34,15 @@ EXIT_INSTABILITY = 3
 EXIT_CONFIG = 4
 
 
-@dataclass
 class ResultSet:
-    config: ExperimentConfig
-    reports: list = field(default_factory=list)
-    samples: dict = field(default_factory=dict)   # R -> {t -> np.ndarray}
-    constants: list = field(default_factory=list)
-    reduced: dict = field(default_factory=dict)  # t -> (n_replicas, ...)
-    wall_seconds: float = 0.0
+    def __init__(self, config, reports=None, samples=None, constants=None,
+                 reduced=None, wall_seconds=0.0):
+        self.config = config
+        self.reports = [] if reports is None else reports
+        self.samples = {} if samples is None else samples  # R -> {t -> array}
+        self.constants = [] if constants is None else constants
+        self.reduced = {} if reduced is None else reduced  # t -> (N, ...)
+        self.wall_seconds = wall_seconds
 
     @property
     def all_passed(self):

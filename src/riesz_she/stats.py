@@ -8,7 +8,6 @@ one-sided because the theoretical rate is an upper bound.
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,16 +23,13 @@ LEMMA31_REFINE_TOL = 0.02     # relative change of the max under refinement
 _KUMMER_MAX_Z = 50.0          # 1F1(a; b; -z): Kummer series up to here
 
 
-@dataclass
 class StatsReport:
-    metric: str
-    estimate: float
-    target: float
-    tolerance: float
-    passed: bool
-    stderr: float = None
-    params: dict = field(default_factory=dict)
-    note: str = ""
+    def __init__(self, metric, estimate, target, tolerance, passed,
+                 stderr=None, params=None, note=""):
+        self.metric, self.estimate, self.target = metric, estimate, target
+        self.tolerance, self.passed, self.stderr = tolerance, passed, stderr
+        self.params = {} if params is None else params
+        self.note = note
 
     def as_row(self):
         return {

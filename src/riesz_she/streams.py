@@ -10,8 +10,20 @@ import numpy as np
 # numpy loads numpy.random lazily: import it with the package, not in the
 # first replica's step
 from numpy.random import Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 _U64 = 2 ** 64
+
+
+class _Key(ISeedSequence):
+    """Seed sequence whose state is the Philox key itself. Philox(key=...)
+    would first seed a SeedSequence from OS entropy, only to replace it."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
 
 
 def stream_for(seed, replica_id):
@@ -22,5 +34,4 @@ def stream_for(seed, replica_id):
     """
     if not (0 <= replica_id < _U64):
         raise ValueError("replica_id out of 64-bit range: %r" % (replica_id,))
-    key = np.array([seed % _U64, replica_id], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    return Generator(Philox(_Key([seed % _U64, replica_id])))

@@ -71,6 +71,12 @@ def test_sigma_unknown_kind():
         NonlinearitySpec("cubic")
 
 
+def test_initial_condition_unknown_kind():
+    with pytest.raises(ValueError,
+                       match="unknown initial-condition kind 'ramp'"):
+        InitialCondition("ramp")
+
+
 def test_heat_semigroup_preserves_constants(small_setup):
     lat, _, _ = small_setup
     f = SpatialField(lat, np.full(lat.shape, 3.7))

@@ -189,6 +189,11 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert cli_main(argv) == EXIT_CONFIG
     assert cli_main(["--help"]) == 0
     capsys.readouterr()
+    # a worker count below 1 is refused before the config is read
+    for workers in ("0", "-3"):
+        assert cli_main(["constants", "--config", str(tmp_path / "absent.cfg"),
+                         "--workers", workers]) == EXIT_CONFIG
+        assert "--workers must be at least 1" in capsys.readouterr().err
     # the overrides are parsed as config values, so a bad one names its key
     assert cli_main(["clt", "--config", str(good), "--replicas", "abc"]) \
         == EXIT_CONFIG

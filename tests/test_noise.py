@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from riesz_she import (Lattice, RieszSpec, build_embedding, cell_self_energy,
+from riesz_she import (Lattice, Region, RieszSpec, SpatialField,
+                       build_embedding, cell_self_energy,
                        covariance_diagnostic, sample_slice)
 from riesz_she import noise
 from riesz_she.noise import EmbeddingError
@@ -23,6 +24,30 @@ def test_spec_rejects_bad_beta():
     with pytest.raises(ValueError):
         RieszSpec(d=2, beta=0.0)
     RieszSpec(d=3, beta=1.9)  # < min(d,2) is fine
+
+
+def test_lattice_rejects_bad_n_and_L():
+    with pytest.raises(ValueError, match="n must be a power of two >= 2, got 3"):
+        Lattice(d=1, n=3, L=1.0)
+    with pytest.raises(ValueError, match="half extent L must be positive, got 0"):
+        Lattice(d=1, n=4, L=0)
+
+
+def test_spatial_field_rejects_bad_shape_and_nan():
+    lat = Lattice(d=2, n=4, L=1.0)
+    with pytest.raises(ValueError, match=r"field shape \(4,\) != lattice "
+                                         r"shape \(4, 4\)"):
+        SpatialField(lat, np.zeros(4))
+    values = np.zeros(lat.shape)
+    values[1, 2] = np.nan
+    with pytest.raises(ValueError, match="field contains non-finite values"):
+        SpatialField(lat, values)
+
+
+def test_spec_reprs_are_one_line():
+    assert repr(RieszSpec(1, 0.5)) == "RieszSpec(d=1, beta=0.5)"
+    assert repr(Lattice(2, 8, 4.0)) == "Lattice(d=2, n=8, L=4.0)"
+    assert repr(Region("box", 2.0)) == "Region(kind='box', radius=2.0)"
 
 
 def test_cell_self_energy_closed_form():

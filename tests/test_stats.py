@@ -397,6 +397,13 @@ def test_cli_import_loads_no_scipy():
     assert _modules_after("import riesz_she.cli") == "[]"
 
 
+def test_cli_import_loads_no_dataclasses_or_copy():
+    # the package's classes are plain classes, so no code is generated at
+    # import; numpy and numpy.random load neither module themselves
+    assert _modules_after("import riesz_she.cli",
+                          ("dataclasses", "copy")) == "[]"
+
+
 def test_one_worker_run_loads_no_pool_modules(tmp_path):
     # the process pool is imported only when a run forks workers; the byte
     # tests comparing 1 and 2 workers cover the pool path

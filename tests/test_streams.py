@@ -18,6 +18,18 @@ def test_stream_for_equals_fresh_philox(seed, rid):
                           fresh(seed, rid).standard_normal(257))
 
 
+@pytest.mark.parametrize("seed, rid", [(601, 0), (2**64 + 5, 17),
+                                       (2**70 + 3, 2**64 - 1), (42, 2**64 - 1)])
+def test_stream_for_state_equals_keyed_philox(seed, rid):
+    # the stream is built from its key alone, with no entropy-seeded
+    # SeedSequence, and is the same generator as Philox(key=...)
+    ours, ref = stream_for(seed, rid), fresh(seed, rid)
+    # the state dict's arrays are uint64, so their repr is exact
+    assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
+    assert np.array_equal(ours.standard_normal(1000),
+                          ref.standard_normal(1000))
+
+
 def test_stream_for_takes_the_seed_mod_2_64():
     assert np.array_equal(stream_for(-1, 3).standard_normal(9),
                           fresh(2**64 - 1, 3).standard_normal(9))
