@@ -100,7 +100,7 @@ class ExperimentConfig:
     def lag_cells(self):
         """Lag offsets in cells along the first axis: the lags key, else for
         decay about 12 log-spaced from 2 cells to L/4, for noise-validate
-        powers of two up to n/2."""
+        0 and the powers of two up to min(32, n/2)."""
         lags = self.lags
         if lags is None and self.kind == "decay":
             hi = int(self.lattice.L / 4.0 / self.lattice.h)
@@ -160,12 +160,12 @@ def _build_init(sec):
     kind = sec.get("kind", "constant")
     if kind == "constant":
         return InitialCondition(kind="constant",
-                                value=_get(sec, "value", float, default=1.0))
+                                value=_get(sec, "value", _finite, default=1.0))
     if kind == "cosine":
         return InitialCondition(
             kind="cosine",
-            offset=_get(sec, "offset", float, required=True),
-            amplitude=_get(sec, "amplitude", float, required=True),
+            offset=_get(sec, "offset", _finite, required=True),
+            amplitude=_get(sec, "amplitude", _finite, required=True),
             cycles=_get(sec, "cycles", int, default=1))
     raise ConfigError("unknown init kind %r (constant or cosine)" % (kind,))
 
@@ -189,9 +189,9 @@ def parse_config(text, overrides=None):
         lattice = Lattice(d=d, n=n, L=L)
         sigma = NonlinearitySpec(
             kind=sig_sec.get("kind", "linear"),
-            a=_get(sig_sec, "a", float, default=1.0),
-            b=_get(sig_sec, "b", float, default=0.0),
-            c=_get(sig_sec, "c", float, default=0.0))
+            a=_get(sig_sec, "a", _finite, default=1.0),
+            b=_get(sig_sec, "b", _finite, default=0.0),
+            c=_get(sig_sec, "c", _finite, default=0.0))
         init = _build_init(init_sec)
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -243,7 +243,7 @@ def _validate(cfg):
         if not cfg.R_list:
             raise ConfigError("R_list is required for kind %r" % (cfg.kind,))
         try:
-            time_grid(cfg.T, cfg.dt, cfg.record_times)
+            _, record_steps = time_grid(cfg.T, cfg.dt, cfg.record_times)
             for reg in cfg.regions:
                 reg.cells(cfg.lattice)
             check_margin(cfg.lattice, cfg.regions, cfg.T)
@@ -251,6 +251,13 @@ def _validate(cfg):
                 lag_distances(cfg.lag_cells, cfg.lattice)
         except ValueError as exc:
             raise ConfigError(str(exc))
+        # G_R(0) = 0, and fclt divides by Var G_R(t) at every record time,
+        # clt and variance-limit at the last one
+        if (cfg.kind == "fclt" and 0 in record_steps) or (
+                cfg.kind in ("clt", "variance-limit")
+                and max(record_steps, default=0) == 0):
+            raise ConfigError("kind %r needs its record times after t = 0, "
+                              "where every G_R is 0" % (cfg.kind,))
     if cfg.kind == "clt" and len(cfg.R_list) < 3:
         raise ConfigError("clt needs >= 3 R_list values for its scaling fit")
     if cfg.kind == "fclt" and len(cfg.record_times) < 2:

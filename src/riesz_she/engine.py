@@ -172,6 +172,8 @@ def time_grid(T, dt, record_times):
     n_steps = snap_to_grid(T, dt, "horizon T")
     record_steps = {}
     for t in record_times:
+        if not 0 <= t < np.inf:
+            raise ValueError("record time %r is negative or not finite" % t)
         k = snap_to_grid(t, dt, "record time")
         if k > n_steps:
             raise ValueError("record time %r exceeds horizon %r" % (t, T))

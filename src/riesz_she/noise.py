@@ -8,8 +8,6 @@ DFT and slices can be drawn in O(n^d log n) by frequency-domain coloring.
 
 import numpy as np
 
-# covariance_diagnostic flags a lag whose empirical/target ratio leaves this
-COVARIANCE_BAND = (0.9, 1.1)
 # build_embedding refuses a spectrum whose negative modes carry this share
 CLAMP_BUDGET = 0.01
 
@@ -219,44 +217,3 @@ def sample_slice(cov, dt, w, out=None, spec=None):
         raise ValueError("dt must be positive, got %r" % (dt,))
     factor = cov.sqrt_eig_half * np.sqrt(dt)
     return spectral_multiply(w, factor, out, spec)
-
-
-class CovarianceLagRow:
-    def __init__(self, lag, distance, empirical, theoretical, ratio, stderr,
-                 flagged):
-        self.lag, self.distance, self.empirical = lag, distance, empirical
-        self.theoretical, self.ratio = theoretical, ratio
-        self.stderr, self.flagged = stderr, flagged
-
-
-def covariance_diagnostic(slices, lattice, lags, spec, dt):
-    """Empirical lag covariances of sampled slices (arrays on lattice) vs
-    dt * kernel, one CovarianceLagRow per lag. slices may be a generator:
-    each is reduced to its lag products on arrival."""
-    if not lags:
-        raise ValueError("empty lag list")
-    lag_ts = [(lag,) if np.isscalar(lag) else tuple(lag) for lag in lags]
-    if any(len(lag_t) != spec.d for lag_t in lag_ts):
-        raise ValueError("lags %r have the wrong dimension" % (lags,))
-    axes = tuple(range(spec.d))
-    products = [[(s * np.roll(s, lag_t, axis=axes)).mean() for lag_t in lag_ts]
-                for s in slices]  # one mean lag product per (slice, lag)
-    if len(products) < 100:
-        raise ValueError("need at least 100 slices, got %d" % len(products))
-    n, h = lattice.n, lattice.h
-    rows = []
-    for lag_t, per_slice in zip(lag_ts, np.array(products).T.copy()):
-        off = np.array([((k + n // 2) % n - n // 2) * h for k in lag_t])
-        dist = float(np.linalg.norm(off))
-        emp = float(per_slice.mean())
-        se = float(per_slice.std(ddof=1) / np.sqrt(len(products)))
-        if dist == 0.0:
-            theo = dt * cell_self_energy(h, spec)
-        else:
-            theo = dt * dist ** (-spec.beta)
-        ratio = emp / theo
-        rows.append(CovarianceLagRow(
-            lag=lag_t, distance=dist, empirical=emp, theoretical=theo,
-            ratio=ratio, stderr=se,
-            flagged=not (COVARIANCE_BAND[0] <= ratio <= COVARIANCE_BAND[1])))
-    return rows

@@ -19,6 +19,7 @@ KS_FLOOR_1PCT = 1.63    # / sqrt(N)
 FCLT_CORR_TOL = 0.05          # |empirical - limit| correlation per time pair
 INCREMENT_SLOPE_FACTOR = 0.8  # increment slope must reach this * p/2
 DECAY_MAX_MIN_RATIO = 5.0     # max/min of the decay envelope
+NOISE_RATIO_TOL = 0.1         # |empirical/target - 1| per noise lag
 LEMMA31_REFINE_TOL = 0.02     # relative change of the max under refinement
 _KUMMER_MAX_Z = 50.0          # 1F1(a; b; -z): Kummer series up to here
 
@@ -339,6 +340,35 @@ def correlation_decay_check(lag_means, lag_cells, lattice, beta):
         estimate=ratio, target=1.0, tolerance=DECAY_MAX_MIN_RATIO,
         passed=ratio <= DECAY_MAX_MIN_RATIO,
         note="max/min of |Psi-eta^2|*dist^beta over upper half of lags"), rows
+
+
+def covariance_diagnostic(lag_means, lag_cells, cov, dt):
+    """noise_covariance_ratio per lag: the mean product of slices colored
+    by cov at that lag, over its target dt * cov.row. lag_means holds one
+    sigma_lag_means row per slice (sigma linear), lag_cells[j] in column
+    j + 1."""
+    if not lag_cells:
+        raise ValueError("empty lag list")
+    lat = cov.lattice
+    if any(len(lag) != lat.d for lag in lag_cells):
+        raise ValueError("lags %r have the wrong dimension" % (lag_cells,))
+    m = np.asarray(lag_means, dtype=np.float64)
+    if m.shape[0] < 100:
+        raise ValueError("need at least 100 slices, got %d" % m.shape[0])
+    dist = lat.min_image_distance_grid()
+    reports = []
+    for j, lag in enumerate(lag_cells, 1):
+        cell = tuple(k % lat.n for k in lag)
+        theo = float(dt * cov.row[cell])
+        per_slice = m[:, j].copy()  # contiguous: the mean's summation order
+        ratio = float(per_slice.mean()) / theo
+        reports.append(StatsReport(
+            metric="noise_covariance_ratio",
+            params={"lag": tuple(lag), "distance": float(dist[cell])},
+            estimate=ratio, target=1.0, tolerance=NOISE_RATIO_TOL,
+            passed=1.0 - NOISE_RATIO_TOL <= ratio <= 1.0 + NOISE_RATIO_TOL,
+            stderr=float(per_slice.std(ddof=1) / np.sqrt(len(m))) / theo))
+    return reports
 
 
 def _series(z, ratio, n_max=math.inf):

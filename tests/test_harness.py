@@ -278,6 +278,34 @@ def test_record_times_on_one_step_are_a_config_error(times, tmp_path):
     assert cli_main(["fclt", "--config", str(cfgfile)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("kind, times", [
+    ("clt", "-0.002, 0.02, 0.04"),
+    ("clt", "0.02, inf"),
+    ("fclt", "0, 0.02, 0.04"),
+    ("clt", "0"),
+    ("variance-limit", "0"),
+])
+def test_record_times_before_or_all_at_zero_are_a_config_error(kind, times,
+                                                               tmp_path):
+    # G_R(0) = 0: fclt divides by its variance at every record time, clt and
+    # variance-limit at the last one
+    text = MINIMAL.replace("seed = 7", "seed = 7\nrecord_times = " + times)
+    with pytest.raises(ConfigError, match="not finite|after t = 0"):
+        parse_config(text.replace("kind = clt", "kind = " + kind))
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(text)
+    assert cli_main([kind, "--config", str(cfgfile)]) == EXIT_CONFIG
+
+
+def test_record_time_zero_is_a_base_time():
+    parse_config(MINIMAL.replace("seed = 7", "seed = 7\nrecord_times = 0, "
+                                 "0.04"))
+    parse_config(MINIMAL.replace("kind = clt", "kind = tightness")
+                 .replace("dt = 0.01", "dt = 0.002")
+                 .replace("seed = 7", "seed = 7\nrecord_times = 0, 0.002, "
+                          "0.004, 0.008, 0.02"))
+
+
 @pytest.mark.parametrize("r_list", ["0.1, 1", "0.5, nan"])
 def test_region_without_a_cell_is_a_config_error(r_list, tmp_path):
     # h/2 = 0.125: R = 0.1 holds no cell center, and nan is no radius
@@ -294,10 +322,22 @@ def test_region_without_a_cell_is_a_config_error(r_list, tmp_path):
     ("L", "L = nan", "clt"),
     ("L", "L = inf", "clt"),
     ("dt", "dt = nan", "noise-validate"),
+    # [sigma] and [init] keys, each appended as a section of its own
+    pytest.param("a", "[sigma]\nkind = affine\na = nan", "clt", id="a-nan"),
+    pytest.param("b", "[sigma]\nkind = affine\nb = -inf", "clt", id="b-inf"),
+    pytest.param("c", "[sigma]\nkind = sine-affine\nc = inf", "clt",
+                 id="c-inf"),
+    pytest.param("value", "[init]\nvalue = nan", "clt", id="value-nan"),
+    pytest.param("offset", "[init]\nkind = cosine\noffset = nan\n"
+                 "amplitude = 1", "clt", id="offset-nan"),
+    pytest.param("amplitude", "[init]\nkind = cosine\noffset = 1\n"
+                 "amplitude = inf", "clt", id="amplitude-inf"),
 ])
 def test_non_finite_T_L_or_dt_is_a_config_error(key, line, kind, tmp_path):
     text = "\n".join(line if ln.startswith(key + " =") else ln
                      for ln in MINIMAL.splitlines())
+    if line not in text:
+        text += "\n" + line + "\n"
     with pytest.raises(ConfigError, match="key '%s'.*not a finite" % key):
         parse_config(text)
     cfgfile = tmp_path / "c.cfg"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from riesz_she import (Lattice, Region, RieszSpec, SpatialField,
-                       build_embedding, cell_self_energy,
-                       covariance_diagnostic, sample_slice)
-from riesz_she import noise
+from riesz_she import (Lattice, NonlinearitySpec, Region, RieszSpec,
+                       SpatialField, build_embedding, cell_self_energy,
+                       covariance_diagnostic, parse_config, run_experiment,
+                       sample_slice)
+from riesz_she import noise, runner
 from riesz_she.noise import EmbeddingError
+from riesz_she.stats import sigma_lag_means
 from riesz_she.streams import stream_for
 
 
@@ -135,32 +137,113 @@ def test_slice_covariance_at_unit_distance(slices_1d):
     assert prod.mean() == pytest.approx(dt * 1.0, rel=0.10)
 
 
+def lag_means(slices, lags):
+    """The noise-validate reduction of a list of slices."""
+    return sigma_lag_means(np.stack(slices), NonlinearitySpec("linear"), lags)
+
+
 def test_covariance_diagnostic_band(slices_1d):
     lat, spec, cov, dt, slices = slices_1d
     # distances from h up to L/2
     lags = [(0,), (1,), (2,), (4,), (8,), (16,), (32,)]
-    rows = covariance_diagnostic(slices, lat, lags, spec, dt)
-    assert not any(r.flagged for r in rows)
-    for row in rows:
-        assert 0.9 <= row.ratio <= 1.1
+    reports = covariance_diagnostic(lag_means(slices, lags), lags, cov, dt)
+    assert all(r.passed for r in reports)
+    for r in reports:
+        assert 0.9 <= r.estimate <= 1.1
 
 
 def test_covariance_diagnostic_determinism(slices_1d):
     lat, spec, cov, dt, _ = slices_1d
+    lags = [(0,), (3,)]
     a = [sample_slice(cov, dt, normals(lat, 5, i)) for i in range(200)]
     b = [sample_slice(cov, dt, normals(lat, 5, i)) for i in range(200)]
-    ra = covariance_diagnostic(a, lat, [(0,), (3,)], spec, dt)
-    rb = covariance_diagnostic(b, lat, [(0,), (3,)], spec, dt)
+    ra = covariance_diagnostic(lag_means(a, lags), lags, cov, dt)
+    rb = covariance_diagnostic(lag_means(b, lags), lags, cov, dt)
     for x, y in zip(ra, rb):
-        assert x.empirical == y.empirical
+        assert x.estimate == y.estimate
 
 
 def test_covariance_diagnostic_errors(slices_1d):
     lat, spec, cov, dt, slices = slices_1d
+    m = lag_means(slices[:200], [(0,)])
     with pytest.raises(ValueError, match="empty lag"):
-        covariance_diagnostic(slices, lat, [], spec, dt)
+        covariance_diagnostic(m, [], cov, dt)
     with pytest.raises(ValueError, match="100 slices"):
-        covariance_diagnostic(slices[:50], lat, [(0,)], spec, dt)
+        covariance_diagnostic(m[:50], [(0,)], cov, dt)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        covariance_diagnostic(m, [(0, 0)], cov, dt)
+
+
+def test_covariance_diagnostic_lags_wrap_mod_n(slices_1d):
+    # n = 64: a lag and the lag plus or minus n are one lag on the torus
+    lat, spec, cov, dt, slices = slices_1d
+    lags = [(3,), (67,), (-61,), (40,), (-24,)]
+    reports = covariance_diagnostic(lag_means(slices[:500], lags), lags,
+                                     cov, dt)
+    assert [r.params["lag"] for r in reports] == lags
+    assert [r.params["distance"] for r in reports] == [0.75] * 3 + [6.0] * 2
+    for a, b in [(0, 1), (0, 2), (3, 4)]:
+        ra, rb = reports[a], reports[b]
+        assert (ra.estimate, ra.stderr) == (rb.estimate, rb.stderr)
+
+
+NOISE_D1 = """
+kind = noise-validate
+d = 1
+beta = 0.5
+dt = 0.01
+n_replicas = 150
+seed = 23
+
+[lattice]
+n = 64
+L = 8.0
+"""
+NOISE_D2 = """
+kind = noise-validate
+d = 2
+beta = 1.0
+dt = 0.01
+n_replicas = 100
+seed = 4
+lags = 0, 1, 5, 40
+
+[lattice]
+n = 32
+L = 4.0
+"""
+
+
+@pytest.mark.parametrize("B", [1, 7, None])
+@pytest.mark.parametrize("text", [NOISE_D1, NOISE_D2], ids=["d1", "d2"])
+def test_noise_validate_equals_a_per_slice_loop(text, B, monkeypatch):
+    # the reference draws, colors and lag-reduces one slice at a time; the
+    # run does it a block at a time, whatever the block size
+    cfg = parse_config(text)
+    if B is not None:
+        monkeypatch.setattr(runner, "block_size", lambda lattice: B)
+    reports = run_experiment(cfg).reports
+    lat, lags = cfg.lattice, cfg.lag_cells
+    cov = build_embedding(lat, cfg.spec)
+    axes = tuple(range(lat.d))
+    products = []
+    for i in range(cfg.n_replicas):
+        s = sample_slice(cov, cfg.dt, normals(lat, cfg.seed, i))
+        products.append([(s * np.roll(s, lag, axis=axes)).mean()
+                         for lag in lags])
+    assert len(reports) == len(lags)
+    for rep, lag, col in zip(reports, lags, np.array(products).T.copy()):
+        off = [((k + lat.n // 2) % lat.n - lat.n // 2) * lat.h for k in lag]
+        theo = cfg.dt * cov.row[tuple(k % lat.n for k in lag)]
+        ratio = float(col.mean()) / theo
+        assert rep.metric == "noise_covariance_ratio"
+        assert rep.params == {"lag": lag,
+                              "distance": float(np.linalg.norm(off))}
+        assert rep.estimate == ratio and type(rep.estimate) is float
+        assert rep.stderr == float(col.std(ddof=1)
+                                   / np.sqrt(cfg.n_replicas)) / theo
+        assert rep.passed == (0.9 <= ratio <= 1.1)
+        assert (rep.target, rep.tolerance) == (1.0, 0.1)
 
 
 def test_dt_scaling_is_exact_per_stream(slices_1d):
