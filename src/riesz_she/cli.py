@@ -5,6 +5,7 @@ import sys
 
 from .config import KINDS, ConfigError, load_config
 from .engine import DegenerateSigmaError, InstabilityError
+from .noise import EmbeddingError
 from .runner import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_INSTABILITY,
                      emit_results, run_experiment)
 
@@ -51,6 +52,9 @@ def main(argv=None):
     except InstabilityError as exc:
         print("numerical instability: %s" % exc, file=sys.stderr)
         return EXIT_INSTABILITY
+    except EmbeddingError as exc:
+        print("config error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
 
     for rep in rs.reports:
         row = rep.as_row()

@@ -235,6 +235,9 @@ def _validate(cfg):
     # stream keys hold the seed in 64 bits; wider seeds would alias
     if not 0 <= cfg.seed < 2**64:
         raise ConfigError("seed must lie in [0, 2**64), got %d" % cfg.seed)
+    if cfg.kind in ("noise-validate", "decay") and cfg.lags == []:
+        raise ConfigError("lags is empty; kind %r needs at least one lag"
+                          % (cfg.kind,))
     needs_sim = cfg.kind in ("variance-limit", "clt", "fclt", "tightness",
                              "decay")
     if needs_sim:
@@ -242,6 +245,9 @@ def _validate(cfg):
             raise ConfigError("T must be positive for kind %r" % (cfg.kind,))
         if not cfg.R_list:
             raise ConfigError("R_list is required for kind %r" % (cfg.kind,))
+        if not cfg.record_times:
+            raise ConfigError("record_times is empty; kind %r needs at least "
+                              "one record time" % (cfg.kind,))
         try:
             _, record_steps = time_grid(cfg.T, cfg.dt, cfg.record_times)
             for reg in cfg.regions:

@@ -8,8 +8,7 @@ step-integrated noise slice (variance proportional to dt).
 import numpy as np
 
 from . import observables
-from .noise import (SpatialField, checked_field, sample_slice,
-                    spectral_multiply)
+from .noise import SpatialField, sample_slice, spectral_multiply
 from .streams import stream_for
 
 
@@ -74,6 +73,10 @@ class InitialCondition:
     def __init__(self, kind, value=1.0, offset=0.0, amplitude=0.0, cycles=1):
         if kind not in ("constant", "cosine"):
             raise ValueError("unknown initial-condition kind %r" % (kind,))
+        if not np.isfinite([value, offset, amplitude]).all():
+            raise ValueError("initial-condition value, offset and amplitude "
+                             "must be finite, got %r, %r and %r"
+                             % (value, offset, amplitude))
         self.kind, self.value, self.offset = kind, value, offset
         self.amplitude, self.cycles = amplitude, cycles
 
@@ -83,13 +86,13 @@ class InitialCondition:
                                 self.amplitude, self.cycles))
 
     def field_on(self, lattice):
+        """u0 at the lattice's cell centers, as a new array."""
         if self.kind == "constant":
-            return SpatialField(lattice, np.full(lattice.shape, self.value))
+            return np.full(lattice.shape, self.value, dtype=np.float64)
         x0 = lattice.center_grids()[0]
         values = self.offset + self.amplitude * np.cos(
             self.cycles * np.pi * x0 / lattice.L)
-        return SpatialField(lattice,
-                            np.broadcast_to(values, lattice.shape).copy())
+        return np.broadcast_to(values, lattice.shape).copy()
 
 
 class FieldState:
@@ -124,15 +127,14 @@ def heat_multiplier(lattice, tau):
     return np.exp(-0.5 * xi2 * tau)
 
 
-def heat_semigroup(field_in, tau):
-    """Periodic convolution with the heat kernel p_tau, done spectrally."""
+def heat_semigroup(values, lattice, tau):
+    """Periodic convolution of a field on the lattice with the heat kernel
+    p_tau, done spectrally, into a new array."""
     if tau < 0:
         raise ValueError("tau must be nonnegative, got %r" % (tau,))
     if tau == 0:
-        return SpatialField(field_in.lattice, field_in.values.copy())
-    lat = field_in.lattice
-    return SpatialField(lat, spectral_multiply(field_in.values,
-                                               heat_multiplier(lat, tau)))
+        return values.copy()
+    return spectral_multiply(values, heat_multiplier(lattice, tau))
 
 
 def step(state, noise, sigma, mult, kick=None, spec=None, scratch=None):
@@ -195,7 +197,7 @@ def check_margin(lattice, regions, T):
 
 def mean_field(init, t, lattice):
     """Deterministic heat flow of the initial condition: E u(t, .)."""
-    return heat_semigroup(init.field_on(lattice), t)
+    return heat_semigroup(init.field_on(lattice), lattice, t)
 
 
 # normals a block draws at once, in cells (float64: 1 MB); the draws of
@@ -239,10 +241,10 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
     n_steps, record_steps = time_grid(T, dt, record_times)
     cells = [reg.cells(lat) for reg in regions]
     # in-region mean values per (record step, region)
-    means = {k: [mean_fields[t].values.reshape(-1)[idx] for idx in cells]
+    means = {k: [mean_fields[t].reshape(-1)[idx] for idx in cells]
              for k, t in record_steps.items()}
     mult = heat_multiplier(lat, dt)
-    u0 = init.field_on(lat).values
+    u0 = init.field_on(lat)
     ids = list(replica_ids)
     B = min(block_size(lat), len(ids)) or 1
     u = np.empty((B,) + lat.shape)
@@ -269,7 +271,7 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
             a[:len(res.replica_ids)] for a in buffers)
         u[...] = u0
         streams = [stream_for(seed, rid) for rid in res.replica_ids]
-        state = FieldState(field=checked_field(lat, u), step_index=0, dt=dt)
+        state = FieldState(field=SpatialField(lat, u), step_index=0, dt=dt)
         if 0 in record_steps:
             record(res, state)
         for k in range(n_steps):

@@ -79,25 +79,11 @@ class Lattice:
 
 
 class SpatialField:
-    """Real field on the lattice, one value per cell center."""
+    """The stepping state's field: one grid or a (B, *grid) block of grids
+    on the lattice, stored as given."""
 
     def __init__(self, lattice, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != lattice.shape:
-            raise ValueError("field shape %r != lattice shape %r"
-                             % (values.shape, lattice.shape))
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field contains non-finite values")
         self.lattice, self.values = lattice, values
-
-
-def checked_field(lattice, values):
-    """SpatialField around values already known finite, without copying or
-    re-checking them; values is one grid or a (B, *grid) block of grids."""
-    out = SpatialField.__new__(SpatialField)
-    out.lattice = lattice
-    out.values = values
-    return out
 
 
 # Gauss-Legendre nodes per axis of cube_pair_integral; doubling them moves

@@ -132,7 +132,7 @@ def _limit_constants(cfg, rs):
                               eta=np.full(len(t_grid), eta0))
     times, eta, se = estimate_eta(rs.reduced)
     if 0.0 not in times:
-        eta0 = float(np.mean(cfg.sigma(cfg.init.field_on(cfg.lattice).values)))
+        eta0 = float(np.mean(cfg.sigma(cfg.init.field_on(cfg.lattice))))
         times = np.concatenate([[0.0], times])
         eta = np.concatenate([[eta0], eta])
         se = np.concatenate([[0.0], se])

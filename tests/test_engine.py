@@ -8,7 +8,6 @@ from riesz_she import (InitialCondition, Lattice, NonlinearitySpec, RieszSpec,
                        mean_field, sample_slice, simulate)
 from riesz_she.engine import (FieldState, InstabilityError, heat_multiplier,
                               snap_to_grid, step)
-from riesz_she.noise import checked_field
 from riesz_she.observables import window_sigma_mean
 from riesz_she.stats import sigma_lag_means
 from riesz_she.streams import stream_for
@@ -77,20 +76,30 @@ def test_initial_condition_unknown_kind():
         InitialCondition("ramp")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"value": np.nan}, {"value": np.inf},
+    {"offset": np.nan, "amplitude": 1.0}, {"offset": -np.inf},
+    {"amplitude": np.nan}, {"amplitude": np.inf}])
+def test_initial_condition_rejects_non_finite_values(kwargs):
+    # values enter u0 here; the fields built from it are not re-checked
+    for kind in ("constant", "cosine"):
+        with pytest.raises(ValueError, match="must be finite"):
+            InitialCondition(kind, **kwargs)
+
+
 def test_heat_semigroup_preserves_constants(small_setup):
     lat, _, _ = small_setup
-    f = SpatialField(lat, np.full(lat.shape, 3.7))
-    out = heat_semigroup(f, 0.3)
-    assert np.allclose(out.values, 3.7, atol=1e-12)
+    out = heat_semigroup(np.full(lat.shape, 3.7), lat, 0.3)
+    assert np.allclose(out, 3.7, atol=1e-12)
 
 
 def test_heat_semigroup_identity_at_zero(small_setup):
     lat, _, _ = small_setup
     rng = np.random.default_rng(0)
-    f = SpatialField(lat, rng.standard_normal(lat.shape))
-    out = heat_semigroup(f, 0.0)
-    assert np.array_equal(out.values, f.values)
-    assert out.values is not f.values
+    f = rng.standard_normal(lat.shape)
+    out = heat_semigroup(f, lat, 0.0)
+    assert np.array_equal(out, f)
+    assert out is not f
 
 
 def test_heat_semigroup_gaussian_convolution_identity():
@@ -100,14 +109,14 @@ def test_heat_semigroup_gaussian_convolution_identity():
     def p(t):
         return np.exp(-x ** 2 / (2 * t)) / np.sqrt(2 * np.pi * t)
     s, tau = 0.05, 0.08
-    out = heat_semigroup(SpatialField(lat, p(s)), tau)
-    assert np.max(np.abs(out.values - p(s + tau))) <= 1e-6
+    out = heat_semigroup(p(s), lat, tau)
+    assert np.max(np.abs(out - p(s + tau))) <= 1e-6
 
 
 def test_heat_semigroup_rejects_negative_tau(small_setup):
     lat, _, _ = small_setup
     with pytest.raises(ValueError):
-        heat_semigroup(SpatialField(lat, np.ones(lat.shape)), -0.1)
+        heat_semigroup(np.ones(lat.shape), lat, -0.1)
 
 
 def test_step_zero_sigma_keeps_constant(small_setup):
@@ -164,23 +173,22 @@ def test_step_blowup_guard(small_setup):
 def test_mean_field_examples(small_setup):
     lat, _, _ = small_setup
     const = InitialCondition("constant", value=1.0)
-    assert np.allclose(mean_field(const, 0.7, lat).values, 1.0, atol=1e-12)
-    assert np.array_equal(mean_field(const, 0.0, lat).values,
-                          const.field_on(lat).values)
+    assert np.allclose(mean_field(const, 0.7, lat), 1.0, atol=1e-12)
+    assert np.array_equal(mean_field(const, 0.0, lat), const.field_on(lat))
     # the cosine start varies along the first axis only and stays within
     # its bounds under the heat flow
     init = InitialCondition("cosine", offset=1.25, amplitude=0.75)
-    assert np.array_equal(init.field_on(lat).values,
+    assert np.array_equal(init.field_on(lat),
                           1.25 + 0.75 * np.cos(np.pi * lat.axis_centers()
                                                / lat.L))
     lat2 = Lattice(d=2, n=8, L=2.0)
     u0 = InitialCondition("cosine", offset=0.0, amplitude=1.0,
-                          cycles=3).field_on(lat2).values
+                          cycles=3).field_on(lat2)
     column = np.cos(3 * np.pi * lat2.axis_centers() / 2.0)[:, None]
     assert np.array_equal(u0, np.broadcast_to(column, (8, 8)))
     out = mean_field(init, 0.2, lat)
-    assert out.values.min() >= 0.5 - 1e-9
-    assert out.values.max() <= 2.0 + 1e-9
+    assert out.min() >= 0.5 - 1e-9
+    assert out.max() <= 2.0 + 1e-9
 
 
 def test_snap_to_grid():
@@ -300,7 +308,7 @@ def test_step_blowup_names_block_row(small_setup):
     lat, _, _ = small_setup
     noise = np.zeros((3,) + lat.shape)
     noise[1, 5] = np.inf
-    state = FieldState(checked_field(lat, np.ones_like(noise)), 0, 0.01)
+    state = FieldState(SpatialField(lat, np.ones_like(noise)), 0, 0.01)
     with pytest.raises(InstabilityError, match="reduce dt") as info:
         step(state, noise, NonlinearitySpec("linear"),
              heat_multiplier(lat, 0.01))
@@ -373,7 +381,7 @@ def _check_against_a_loop_with_fresh_arrays(d, n, L):
                     reducers={t: np.copy for t in times.values()})
 
     g = stream_for(seed, rid)
-    state = FieldState(init.field_on(lat), 0, dt)
+    state = FieldState(SpatialField(lat, init.field_on(lat)), 0, dt)
     averages, fields = {}, {}
     for k in range(n_steps + 1):
         if k:
@@ -384,7 +392,7 @@ def _check_against_a_loop_with_fresh_arrays(d, n, L):
             fields[t], averages[t] = u, []
             for reg in regions:
                 idx = reg.cells(lat)
-                diff = u.reshape(-1)[idx] - means[t].values.reshape(-1)[idx]
+                diff = u.reshape(-1)[idx] - means[t].reshape(-1)[idx]
                 averages[t].append(float(lat.cell_volume * diff.sum()))
     assert blk.replica_ids == [rid - 1, rid, rid + 1]
     assert {t: g[1].tolist() for t, g in blk.region_averages.items()} \

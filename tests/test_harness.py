@@ -123,6 +123,12 @@ def test_kind_specific_validation():
     for p in (2, 4):
         parse_config(tight.replace("seed = 7",
                                    spanning + "\np_moment = %d" % p))
+    # an empty lag list would fail in noise-validate's diagnostic after every
+    # slice is drawn, and in decay's check after the whole run
+    for kind in ("noise-validate", "decay"):
+        with pytest.raises(ConfigError, match="lags is empty"):
+            parse_config(MINIMAL.replace("kind = clt", "kind = " + kind)
+                         .replace("seed = 7", "seed = 7\nlags ="))
 
 
 CONSTANTS_CFG = """
@@ -284,13 +290,14 @@ def test_record_times_on_one_step_are_a_config_error(times, tmp_path):
     ("fclt", "0, 0.02, 0.04"),
     ("clt", "0"),
     ("variance-limit", "0"),
+    ("decay", ""),
 ])
 def test_record_times_before_or_all_at_zero_are_a_config_error(kind, times,
                                                                tmp_path):
     # G_R(0) = 0: fclt divides by its variance at every record time, clt and
-    # variance-limit at the last one
+    # variance-limit at the last one; decay's reducer reads the last one
     text = MINIMAL.replace("seed = 7", "seed = 7\nrecord_times = " + times)
-    with pytest.raises(ConfigError, match="not finite|after t = 0"):
+    with pytest.raises(ConfigError, match="not finite|after t = 0|is empty"):
         parse_config(text.replace("kind = clt", "kind = " + kind))
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(text)
@@ -351,6 +358,18 @@ def test_lemma31_y_without_a_length_is_a_config_error(y_list, tmp_path):
     cfgfile.write_text(MINIMAL.replace("seed = 7",
                                        "seed = 7\ny_list = " + y_list))
     assert cli_main(["lemma31", "--config", str(cfgfile)]) == EXIT_CONFIG
+
+
+def test_unclampable_embedding_is_a_config_error(tmp_path, capsys):
+    # d = 3, beta = 0.2 on 8 cells per axis clamps 1.04% of the spectrum
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("kind = noise-validate\nd = 3\nbeta = 0.2\n"
+                       "[lattice]\nn = 8\nL = 1\n")
+    assert cli_main(["noise-validate", "--config", str(cfgfile)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "refine lattice" in err
+    assert err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from riesz_she import (Lattice, NonlinearitySpec, Region, RieszSpec,
-                       SpatialField, build_embedding, cell_self_energy,
+                       build_embedding, cell_self_energy,
                        covariance_diagnostic, parse_config, run_experiment,
                        sample_slice)
 from riesz_she import noise, runner
@@ -33,17 +33,6 @@ def test_lattice_rejects_bad_n_and_L():
         Lattice(d=1, n=3, L=1.0)
     with pytest.raises(ValueError, match="half extent L must be positive, got 0"):
         Lattice(d=1, n=4, L=0)
-
-
-def test_spatial_field_rejects_bad_shape_and_nan():
-    lat = Lattice(d=2, n=4, L=1.0)
-    with pytest.raises(ValueError, match=r"field shape \(4,\) != lattice "
-                                         r"shape \(4, 4\)"):
-        SpatialField(lat, np.zeros(4))
-    values = np.zeros(lat.shape)
-    values[1, 2] = np.nan
-    with pytest.raises(ValueError, match="field contains non-finite values"):
-        SpatialField(lat, values)
 
 
 def test_spec_reprs_are_one_line():
