@@ -65,7 +65,13 @@ def main(argv=None):
           % (rs.wall_seconds, sum(r.passed for r in rs.reports),
              len(rs.reports)))
     if args.out:
-        for path in emit_results(rs, args.out):
+        try:
+            written = emit_results(rs, args.out)
+        except OSError as exc:
+            print("config error: cannot write %s: %s"
+                  % (args.out, exc.strerror or exc), file=sys.stderr)
+            return EXIT_CONFIG
+        for path in written:
             print("wrote %s" % path)
     return rs.exit_code
 

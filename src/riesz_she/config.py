@@ -10,10 +10,9 @@ import hashlib
 
 import numpy as np
 
-from .engine import (InitialCondition, NonlinearitySpec, check_margin,
-                     time_grid)
+from .engine import InitialCondition, NonlinearitySpec, time_grid
 from .noise import Lattice, RieszSpec
-from .observables import Region
+from .observables import Region, check_margin
 from .stats import lag_distances
 
 KINDS = ("noise-validate", "variance-limit", "clt", "fclt", "tightness",
@@ -264,8 +263,14 @@ def _validate(cfg):
                 and max(record_steps, default=0) == 0):
             raise ConfigError("kind %r needs its record times after t = 0, "
                               "where every G_R is 0" % (cfg.kind,))
+    if len(set(cfg.R_list)) < len(cfg.R_list):
+        raise ConfigError("R_list repeats a radius: %s"
+                          % ", ".join("%g" % R for R in cfg.R_list))
     if cfg.kind == "clt" and len(cfg.R_list) < 3:
         raise ConfigError("clt needs >= 3 R_list values for its scaling fit")
+    if cfg.kind == "variance-limit" and len(cfg.R_list) < 2:
+        raise ConfigError("variance-limit needs >= 2 R_list values to "
+                          "compare their errors")
     if cfg.kind == "fclt" and len(cfg.record_times) < 2:
         raise ConfigError("fclt needs at least two record times")
     if cfg.kind == "tightness":

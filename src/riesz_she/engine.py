@@ -7,7 +7,6 @@ step-integrated noise slice (variance proportional to dt).
 
 import numpy as np
 
-from . import observables
 from .noise import SpatialField, sample_slice, spectral_multiply
 from .streams import stream_for
 
@@ -22,7 +21,8 @@ class InstabilityError(Exception):
 
 
 class DegenerateSigmaError(Exception):
-    """sigma(1) = 0: the constant solution is exact and no CLT scaling exists."""
+    """G_R has no fluctuation to scale: sigma(u0) = 0 at every cell, so u
+    stays at its mean, or a sample's variance is 0."""
 
 
 _SIGMA_KINDS = ("linear", "affine", "sine-affine", "clipped-linear")
@@ -107,12 +107,10 @@ class FieldState:
 class BlockResult:
     """What simulate records for one block; row i is replica_ids[i]."""
 
-    def __init__(self, replica_ids, region_averages=None, reduced=None,
-                 fields_at_times=None):
-        # time -> (B, n_regions) array, and time -> the reducer's (B, ...)
-        # array; fields_at_times stays empty, perfbench reads it
+    def __init__(self, replica_ids, reduced=None, fields_at_times=None):
+        # time -> the tuple of the reducers' (B, ...) arrays; fields_at_times
+        # stays empty, perfbench reads it
         self.replica_ids = replica_ids
-        self.region_averages = {} if region_averages is None else region_averages
         self.reduced = {} if reduced is None else reduced
         self.fields_at_times = {} if fields_at_times is None else fields_at_times
 
@@ -186,15 +184,6 @@ def time_grid(T, dt, record_times):
     return n_steps, record_steps
 
 
-def check_margin(lattice, regions, T):
-    """Torus must leave a 6*sqrt(T) collar outside every region."""
-    collar = 6.0 * np.sqrt(T)
-    for reg in regions:
-        if lattice.L < reg.radius - 1e-12 + collar:
-            raise ValueError("L=%g < R_max+6*sqrt(T)=%g"
-                             % (lattice.L, reg.radius + collar))
-
-
 def mean_field(init, t, lattice):
     """Deterministic heat flow of the initial condition: E u(t, .)."""
     return heat_semigroup(init.field_on(lattice), lattice, t)
@@ -214,8 +203,7 @@ def block_size(lattice):
     return max(1, 2 ** 15 // lattice.n_cells)
 
 
-def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
-             replica_ids, mean_fields, reducers=None):
+def simulate(noise_cov, sigma, init, T, dt, seed, replica_ids, reducers):
     """Run replicas from 0 to T; one BlockResult per block of ids, in the
     order given.
 
@@ -226,23 +214,15 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
     replica id); they are drawn K steps at a time into a (B, K, *grid)
     buffer, K = DRAW_BUDGET // (B n^d) clipped to [1, n_steps], and a
     stream fills its row in stream order, so no byte depends on K.
-    mean_fields maps record time to the deterministic mean (heat flow of
-    the initial condition). At record time t a block keeps
-    region_averages[t], a (B, n_regions) array, and reduced[t] =
-    reducers[t](block) if reducers has t: a picklable function of the
-    (B, *grid) block of fields, called once per block, that returns an
-    array whose leading axis is the block's rows. Each row must depend on
-    its own field only; the block is a reused buffer, valid only during
+    reducers maps each record time t to a tuple of picklable functions of
+    the (B, *grid) block of fields; at t a block keeps reduced[t], the
+    tuple of their arrays, each with the block's rows on its leading axis.
+    Each function is called once per block, each row must depend on its
+    own field only, and the block is a reused buffer, valid only during
     the call.
     """
     lat = noise_cov.lattice
-    check_margin(lat, regions, T)
-    reducers = reducers or {}
-    n_steps, record_steps = time_grid(T, dt, record_times)
-    cells = [reg.cells(lat) for reg in regions]
-    # in-region mean values per (record step, region)
-    means = {k: [mean_fields[t].reshape(-1)[idx] for idx in cells]
-             for k, t in record_steps.items()}
+    n_steps, record_steps = time_grid(T, dt, reducers)
     mult = heat_multiplier(lat, dt)
     u0 = init.field_on(lat)
     ids = list(replica_ids)
@@ -254,15 +234,8 @@ def simulate(noise_cov, sigma, init, T, dt, record_times, regions, seed,
                np.empty((B,) + mult.shape, complex))
 
     def record(res, state):
-        t, u = record_steps[state.step_index], state.field.values
-        flat = u.reshape(len(u), -1)
-        g = res.region_averages[t] = np.empty((len(u), len(cells)))
-        for r, idx in enumerate(cells):
-            # looked up on the module, where perfbench traces the layer
-            g[:, r] = observables.region_average(
-                flat, idx, means[state.step_index][r], lat.cell_volume)
-        if t in reducers:
-            res.reduced[t] = reducers[t](u)
+        t = record_steps[state.step_index]
+        res.reduced[t] = tuple(f(state.field.values) for f in reducers[t])
 
     results = []
     for lo in range(0, len(ids), B):

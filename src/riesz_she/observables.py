@@ -47,6 +47,15 @@ class Region:
         return idx
 
 
+def check_margin(lattice, regions, T):
+    """Torus must leave a 6*sqrt(T) collar outside every region."""
+    collar = 6.0 * np.sqrt(T)
+    for reg in regions:
+        if lattice.L < reg.radius - 1e-12 + collar:
+            raise ValueError("L=%g < R_max+6*sqrt(T)=%g"
+                             % (lattice.L, reg.radius + collar))
+
+
 def region_average(flat, idx, mean_in_region, cell_volume):
     """h^d * sum over in-region cells of (field - mean field), a (B,) array
     for a (B, n_cells) block of flattened fields. idx holds the region's
@@ -58,6 +67,15 @@ def region_average(flat, idx, mean_in_region, cell_volume):
     diff = np.take(flat, idx, axis=1)
     diff -= mean_in_region
     return cell_volume * diff.sum(axis=1)
+
+
+def region_averages(block, cells, means, cell_volume):
+    """Reducer: G_R of each field of a (B, *grid) block, a (B, n_regions)
+    array; cells and means hold region_average's idx and mean_in_region
+    per region. It is looked up on the module, where perfbench traces it."""
+    flat = block.reshape(len(block), -1)
+    return np.column_stack([region_average(flat, idx, mean, cell_volume)
+                            for idx, mean in zip(cells, means)])
 
 
 def ball_pair_integral(d, beta):

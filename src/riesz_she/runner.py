@@ -4,7 +4,7 @@ Replicas never share mutable state and their random streams are keyed by
 (seed, replica_id), so results are independent of worker count and
 completion order. simulate returns one BlockResult per block of replicas;
 the blocks are put in replica_id order by their first id, and each record
-time's region averages and reductions are joined with one np.concatenate.
+time's reductions are joined with one np.concatenate each.
 """
 
 import csv
@@ -20,7 +20,7 @@ from .engine import (DegenerateSigmaError, NonlinearitySpec, block_size,
                      mean_field, simulate)
 from .noise import build_embedding, sample_slice
 from .observables import (LimitConstants, Region, constants_rows, estimate_eta,
-                          k_beta, window_sigma_mean)
+                          k_beta, region_averages, window_sigma_mean)
 from .stats import (KS_FLOOR_1PCT, StatsReport, correlation_decay_check,
                     covariance_diagnostic, functional_cov_check,
                     increment_moment_fit, increment_r_scaling, ks_distance,
@@ -59,39 +59,44 @@ def _run_chunk(args):
 
 
 def _reducers(cfg):
-    """{record time: what the kind reads of the field then}; partials, so
-    that they pickle to the workers."""
-    if cfg.kind == "decay":
-        return {max(cfg.record_times): functools.partial(
-            sigma_lag_means, sigma=cfg.sigma, lag_cells=cfg.lag_cells)}
+    """{record time: (G_R of every region, then what the kind reads of the
+    field then, if anything)}; partials, so that they pickle to the
+    workers. The mean fields are computed here, before any stepping."""
+    lat = cfg.lattice
+    kind = ()
     if cfg.kind in ("variance-limit", "fclt") and not cfg.eta_exact:
         # cells the torus wrap-around has not reached by time T
-        window = Region("box", cfg.lattice.L - 6.0 * np.sqrt(cfg.T))
-        reducer = functools.partial(window_sigma_mean, sigma=cfg.sigma,
-                                    window=window.cells(cfg.lattice))
-        return {t: reducer for t in cfg.record_times}
-    return {}
+        window = Region("box", lat.L - 6.0 * np.sqrt(cfg.T))
+        kind = (functools.partial(window_sigma_mean, sigma=cfg.sigma,
+                                  window=window.cells(lat)),)
+    cells = [reg.cells(lat) for reg in cfg.regions]
+    out = {}
+    for t in cfg.record_times:
+        mean = mean_field(cfg.init, t, lat).reshape(-1)
+        out[t] = (functools.partial(region_averages, cells=cells,
+                                    means=[mean[idx] for idx in cells],
+                                    cell_volume=lat.cell_volume),) + kind
+    if cfg.kind == "decay":
+        out[max(out)] += (functools.partial(
+            sigma_lag_means, sigma=cfg.sigma, lag_cells=cfg.lag_cells),)
+    return out
 
 
 def run_replicas(cfg, cov, workers=1):
     """simulate's BlockResults for all replicas, in replica_id order.
 
     Workers take whole blocks of block_size(lattice) replicas and reduce
-    record-time fields as the kind needs (_reducers). One chunk runs in
-    this process and loads no pool machinery; more fork a process pool,
-    whose modules are imported only then.
+    record-time fields to G_R and what the kind reads (_reducers). One
+    chunk runs in this process and loads no pool machinery; more fork a
+    process pool, whose modules are imported only then.
     """
     reducers = _reducers(cfg)
-    mean_fields = {t: mean_field(cfg.init, t, cfg.lattice)
-                   for t in cfg.record_times}
     B = block_size(cfg.lattice)
     blocks = [range(lo, min(lo + B, cfg.n_replicas))
               for lo in range(0, cfg.n_replicas, B)]
     n_chunks = min(max(workers, 1), len(blocks))
-    args = [(cov, cfg.sigma, cfg.init, cfg.T, cfg.dt, cfg.record_times,
-             cfg.regions, cfg.seed,
-             [rid for blk in blocks[i::n_chunks] for rid in blk],
-             mean_fields, reducers)
+    args = [(cov, cfg.sigma, cfg.init, cfg.T, cfg.dt, cfg.seed,
+             [rid for blk in blocks[i::n_chunks] for rid in blk], reducers)
             for i in range(n_chunks)]
     if n_chunks <= 1:
         parts = map(_run_chunk, args)
@@ -104,21 +109,24 @@ def run_replicas(cfg, cov, workers=1):
 
 
 def collect_samples(blocks, cfg):
-    """{R: {t: array over replicas}} from the blocks' region averages."""
-    out = {R: {} for R in cfg.R_list}
+    """{R: {t: G_R over replicas}} and {t: the kind's reduction over
+    replicas}, joined from the blocks' reductions in one pass."""
+    samples, reduced = {R: {} for R in cfg.R_list}, {}
     for t in cfg.record_times:
-        g = np.concatenate([blk.region_averages[t] for blk in blocks])
+        g, *kind = map(np.concatenate,
+                       zip(*(blk.reduced[t] for blk in blocks)))
         for r, R in enumerate(cfg.R_list):
-            out[R][t] = g[:, r]
-    return out
+            samples[R][t] = g[:, r]
+        if kind:
+            reduced[t], = kind
+    return samples, reduced
 
 
 def _check_degenerate(cfg):
-    if cfg.init.kind == "constant" and \
-            abs(float(cfg.sigma(np.float64(cfg.init.value)))) < 1e-14:
+    if np.all(np.abs(cfg.sigma(cfg.init.field_on(cfg.lattice))) < 1e-14):
         raise DegenerateSigmaError(
-            "degenerate: sigma(%g)=0, the constant solution is exact and "
-            "every G_R vanishes" % cfg.init.value)
+            "sigma(u0) = 0 at every cell, so u stays at its mean and every "
+            "G_R vanishes")
 
 
 def _limit_constants(cfg, rs):
@@ -161,10 +169,9 @@ def _run_noise_validate(cfg, workers):
 def _run_simulation_kind(cfg, workers):
     _check_degenerate(cfg)
     cov = build_embedding(cfg.lattice, cfg.spec)
-    blocks = run_replicas(cfg, cov, workers=workers)
-    return ResultSet(config=cfg, samples=collect_samples(blocks, cfg),
-                     reduced={t: np.concatenate([b.reduced[t] for b in blocks])
-                              for t in blocks[0].reduced})
+    samples, reduced = collect_samples(
+        run_replicas(cfg, cov, workers=workers), cfg)
+    return ResultSet(config=cfg, samples=samples, reduced=reduced)
 
 
 def _run_variance_limit(cfg, workers):

@@ -16,12 +16,12 @@ import sys
 import numpy as np
 import pytest
 
-from riesz_she import (InitialCondition, NonlinearitySpec, Region, RieszSpec,
-                       build_embedding, mean_field, simulate)
+from riesz_she import (InitialCondition, RieszSpec, build_embedding,
+                       simulate)
 from riesz_she.cli import main as cli_main
 from riesz_she.config import parse_config
 from riesz_she.observables import LimitConstants, k_beta
-from riesz_she.runner import (EXIT_DEGENERATE, collect_samples,
+from riesz_she.runner import (EXIT_DEGENERATE, _reducers, collect_samples,
                               run_experiment, run_replicas)
 from riesz_she.stats import (functional_cov_check,
                              increment_moment_fit, increment_r_scaling,
@@ -72,7 +72,7 @@ def reference_run():
     cfg = make_cfg()
     t0 = time.monotonic()
     cov = build_embedding(cfg.lattice, cfg.spec)
-    samples = collect_samples(run_replicas(cfg, cov, workers=2), cfg)
+    samples, _ = collect_samples(run_replicas(cfg, cov, workers=2), cfg)
     return cfg, samples, time.monotonic() - t0
 
 
@@ -83,7 +83,7 @@ def clipped_run():
                          "\n[init]\nkind = cosine\noffset = 1.25\n"
                          "amplitude = 0.75\ncycles = 32\n")
     cov = build_embedding(cfg.lattice, cfg.spec)
-    return cfg, collect_samples(run_replicas(cfg, cov, workers=2), cfg)
+    return cfg, collect_samples(run_replicas(cfg, cov, workers=2), cfg)[0]
 
 
 def _ks_by_R(samples, t=0.25):
@@ -215,16 +215,13 @@ def test_criterion_09_smoothed_kernel_bound():
 
 
 def test_criterion_10_degenerate_regime(tmp_path):
-    cfg = make_cfg()
+    # sigma(x) = x - 1 and the constant start 1
+    cfg = make_cfg(extra="\n[sigma]\nkind = affine\na = 1\nb = -1\n")
     cov = build_embedding(cfg.lattice, cfg.spec)
-    sigma = NonlinearitySpec("affine", a=1.0, b=-1.0)  # sigma(x) = x - 1
-    init = InitialCondition("constant", value=1.0)
     gs = []
-    means = {t: mean_field(init, t, cfg.lattice) for t in TIMES}
-    for blk in simulate(cov, sigma, init, 0.25, DT, TIMES,
-                        [Region("ball", R) for R in R_LIST], SEED, range(3),
-                        means):
-        for g in blk.region_averages.values():
+    for blk in simulate(cov, cfg.sigma, cfg.init, 0.25, DT, SEED, range(3),
+                        _reducers(cfg)):
+        for g, in blk.reduced.values():
             gs.extend(g.ravel())
     exact_zero = all(g == 0.0 for g in gs)
     cfgfile = tmp_path / "degen.cfg"
@@ -252,12 +249,13 @@ def test_criterion_11_bounded_start_comparison(clipped_run):
     hi_init = InitialCondition("constant", value=2.0)
     ordered = True
     for lo, hi in zip(
-            simulate(cov, sigma, lo_init, 0.25, DT, TIMES, [], SEED,
-                     range(5), {}, reducers={t: np.copy for t in TIMES}),
-            simulate(cov, sigma, hi_init, 0.25, DT, TIMES, [], SEED,
-                     range(5), {}, reducers={t: np.copy for t in TIMES})):
+            simulate(cov, sigma, lo_init, 0.25, DT, SEED, range(5),
+                     {t: (np.copy,) for t in TIMES}),
+            simulate(cov, sigma, hi_init, 0.25, DT, SEED, range(5),
+                     {t: (np.copy,) for t in TIMES})):
         for t in TIMES:
-            ordered &= bool(np.all(lo.reduced[t] <= hi.reduced[t] + 1e-9))
+            ordered &= bool(np.all(lo.reduced[t][0] <= hi.reduced[t][0]
+                                   + 1e-9))
     ok = abs(slope - 0.75) <= 0.05 and ks16 < 0.05 and ordered
     report(11, "bounded-start regime", ok,
            "slope %.4f; KS(R=16) %.4f vs 0.05; comparison %s"

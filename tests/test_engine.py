@@ -8,14 +8,22 @@ from riesz_she import (InitialCondition, Lattice, NonlinearitySpec, RieszSpec,
                        mean_field, sample_slice, simulate)
 from riesz_she.engine import (FieldState, InstabilityError, heat_multiplier,
                               snap_to_grid, step)
-from riesz_she.observables import window_sigma_mean
+from riesz_she.observables import region_averages, window_sigma_mean
 from riesz_she.stats import sigma_lag_means
 from riesz_she.streams import stream_for
 
 
-def means_at(init, times, lat):
-    """The mean fields simulate takes, one per record time."""
-    return {t: mean_field(init, t, lat) for t in times}
+def with_g_r(init, lat, regions, times, *extra):
+    """simulate's reducers as the runner builds them: at each record time
+    the G_R of the regions first, then the extra reducers."""
+    cells = [reg.cells(lat) for reg in regions]
+    out = {}
+    for t in times:
+        mean = mean_field(init, t, lat).reshape(-1)
+        out[t] = (functools.partial(region_averages, cells=cells,
+                                    means=[mean[idx] for idx in cells],
+                                    cell_volume=lat.cell_volume),) + extra
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -201,37 +209,26 @@ def test_simulate_t_zero_records_initial(small_setup):
     from riesz_she import Region
     lat, _, cov = small_setup
     init = InitialCondition("constant", value=1.0)
-    blk, = simulate(cov, NonlinearitySpec("linear"), init, 0.0, 0.01, [0.0],
-                    [Region("ball", 1.0)], seed=5, replica_ids=[0],
-                    mean_fields=means_at(init, [0.0], lat))
+    blk, = simulate(cov, NonlinearitySpec("linear"), init, 0.0, 0.01, seed=5,
+                    replica_ids=[0], reducers=with_g_r(
+                        init, lat, [Region("ball", 1.0)], [0.0]))
     assert blk.replica_ids == [0]
-    assert blk.region_averages[0.0].tolist() == [[0.0]]
+    assert blk.reduced[0.0][0].tolist() == [[0.0]]
 
 
 def test_simulate_determinism(small_setup):
     from riesz_she import Region
     lat, _, cov = small_setup
     init = InitialCondition("constant", value=1.0)
-    kwargs = dict(T=0.1, dt=0.0125, record_times=[0.05, 0.1],
-                  regions=[Region("ball", 2.0)], seed=9, replica_ids=[3],
-                  mean_fields=means_at(init, [0.05, 0.1], lat),
-                  reducers={0.05: np.copy, 0.1: np.copy})
+    kwargs = dict(T=0.1, dt=0.0125, seed=9, replica_ids=[3],
+                  reducers=with_g_r(init, lat, [Region("ball", 2.0)],
+                                    [0.05, 0.1], np.copy))
     a, = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
     b, = simulate(cov, NonlinearitySpec("linear"), init, **kwargs)
     for t in (0.05, 0.1):
-        assert a.region_averages[t].shape == (1, 1)
-        assert np.array_equal(a.region_averages[t], b.region_averages[t])
-    assert np.array_equal(a.reduced[0.1], b.reduced[0.1])
-
-
-def test_simulate_margin_violation(small_setup):
-    from riesz_she import Region
-    lat, _, cov = small_setup  # L = 8
-    init = InitialCondition("constant", value=1.0)
-    with pytest.raises(ValueError, match="6\\*sqrt"):
-        simulate(cov, NonlinearitySpec("linear"), init, 4.0, 0.01, [1.0],
-                 [Region("ball", 4.0)], seed=0, replica_ids=[0],
-                 mean_fields=means_at(init, [1.0], lat))
+        assert a.reduced[t][0].shape == (1, 1)
+        assert np.array_equal(a.reduced[t][0], b.reduced[t][0])
+    assert np.array_equal(a.reduced[0.1][1], b.reduced[0.1][1])
 
 
 def test_simulate_off_grid_record_time(small_setup):
@@ -239,9 +236,9 @@ def test_simulate_off_grid_record_time(small_setup):
     lat, _, cov = small_setup
     init = InitialCondition("constant", value=1.0)
     with pytest.raises(ValueError, match="not a multiple"):
-        simulate(cov, NonlinearitySpec("linear"), init, 0.1, 0.0125, [0.03],
-                 [Region("ball", 1.0)], seed=0, replica_ids=[0],
-                 mean_fields=means_at(init, [0.03], lat))
+        simulate(cov, NonlinearitySpec("linear"), init, 0.1, 0.0125, seed=0,
+                 replica_ids=[0], reducers=with_g_r(
+                     init, lat, [Region("ball", 1.0)], [0.03]))
 
 
 def test_weak_comparison_coupled_noise(small_setup):
@@ -339,29 +336,27 @@ def test_block_stepping_matches_one_id_blocks(d, n, L, n_ids):
         lag_cells=[(2,) + (0,) * (d - 1), (3,) * d],
         window=Region("box", 0.5).cells(lat))
     times = [0.0, 0.004, 0.01]
-    kwargs = dict(T=0.01, dt=0.002, record_times=times,
-                  regions=[Region("ball", 1.0), Region("box", 0.5)],
-                  seed=2**63 + 3, mean_fields=means_at(init, times, lat),
-                  reducers={t: reducer for t in times})
+    kwargs = dict(T=0.01, dt=0.002, seed=2**63 + 3, reducers=with_g_r(
+        init, lat, [Region("ball", 1.0), Region("box", 0.5)], times, reducer))
     ids = [7 * i + 1 for i in range(n_ids)]
     blocks = simulate(cov, sigma, init, replica_ids=ids, **kwargs)
     B = block_size(lat)
     assert [blk.replica_ids for blk in blocks] == \
         [ids[lo:lo + B] for lo in range(0, n_ids, B)]
-    averages = {t: np.concatenate([blk.region_averages[t] for blk in blocks])
+    averages = {t: np.concatenate([blk.reduced[t][0] for blk in blocks])
                 for t in times}
-    reduced = {t: np.concatenate([blk.reduced[t] for blk in blocks])
+    reduced = {t: np.concatenate([blk.reduced[t][1] for blk in blocks])
                for t in times}
     for i, rid in enumerate(ids):
         alone, = simulate(cov, sigma, init, replica_ids=[rid], **kwargs)
-        assert alone.region_averages.keys() == alone.reduced.keys() \
-            == {0.0, 0.004, 0.01}
+        assert alone.reduced.keys() == {0.0, 0.004, 0.01}
         for t in times:
+            assert len(alone.reduced[t]) == 2
             assert averages[t].shape == (n_ids, 2)
-            assert np.array_equal(averages[t][i], alone.region_averages[t][0])
+            assert np.array_equal(averages[t][i], alone.reduced[t][0][0])
             # the field, 3 lag means and the window mean
             assert reduced[t].shape == (n_ids, lat.n_cells + 3 + 1)
-            assert np.array_equal(reduced[t][i], alone.reduced[t][0])
+            assert np.array_equal(reduced[t][i], alone.reduced[t][1][0])
 
 
 def _check_against_a_loop_with_fresh_arrays(d, n, L):
@@ -375,10 +370,9 @@ def _check_against_a_loop_with_fresh_arrays(d, n, L):
     dt, n_steps, seed, rid = 0.002, 5, 2**63 + 3, 8
     times = {0: 0.0, 2: 0.004, 5: 0.01}
     regions = [Region("ball", 1.0), Region("box", 0.5)]
-    means = means_at(init, times.values(), lat)
-    blk, = simulate(cov, sigma, init, n_steps * dt, dt, list(times.values()),
-                    regions, seed, [rid - 1, rid, rid + 1], means,
-                    reducers={t: np.copy for t in times.values()})
+    blk, = simulate(cov, sigma, init, n_steps * dt, dt, seed,
+                    [rid - 1, rid, rid + 1],
+                    with_g_r(init, lat, regions, times.values(), np.copy))
 
     g = stream_for(seed, rid)
     state = FieldState(SpatialField(lat, init.field_on(lat)), 0, dt)
@@ -392,14 +386,15 @@ def _check_against_a_loop_with_fresh_arrays(d, n, L):
             fields[t], averages[t] = u, []
             for reg in regions:
                 idx = reg.cells(lat)
-                diff = u.reshape(-1)[idx] - means[t].reshape(-1)[idx]
+                mean = mean_field(init, t, lat).reshape(-1)[idx]
+                diff = u.reshape(-1)[idx] - mean
                 averages[t].append(float(lat.cell_volume * diff.sum()))
     assert blk.replica_ids == [rid - 1, rid, rid + 1]
-    assert {t: g[1].tolist() for t, g in blk.region_averages.items()} \
+    assert {t: r[0][1].tolist() for t, r in blk.reduced.items()} \
         == averages
     assert blk.reduced.keys() == fields.keys()
     for t, u in fields.items():
-        assert np.array_equal(blk.reduced[t][1], u)
+        assert np.array_equal(blk.reduced[t][1][1], u)
 
 
 @pytest.mark.parametrize("d, n, L", [(1, 64, 8.0), (2, 32, 4.0)],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from riesz_she import (DegenerateSigmaError, InstabilityError,
-                       build_embedding, mean_field, simulate)
+                       build_embedding, simulate)
 from riesz_she.cli import main as cli_main
 from riesz_she.config import ConfigError, load_config, parse_config
 from riesz_she.observables import estimate_eta
@@ -111,6 +111,16 @@ def test_kind_specific_validation():
     # each would otherwise fail in its statistic after the whole run
     with pytest.raises(ConfigError, match="clt needs >= 3 R_list values"):
         parse_config(MINIMAL.replace("R_list = 0.5, 1, 2", "R_list = 0.5, 1"))
+    # a repeated radius: no scaling fit through one R, duplicate report rows
+    for kind, r_list in (("clt", "2, 2, 2"), ("clt", "1, 2, 2"),
+                         ("tightness", "1, 1")):
+        with pytest.raises(ConfigError, match="R_list repeats a radius"):
+            parse_config(MINIMAL.replace("kind = clt", "kind = " + kind)
+                         .replace("R_list = 0.5, 1, 2", "R_list = " + r_list))
+    # variance-limit compares the error at its smallest and largest R
+    with pytest.raises(ConfigError, match="variance-limit needs >= 2 R_list"):
+        parse_config(MINIMAL.replace("kind = clt", "kind = variance-limit")
+                     .replace("R_list = 0.5, 1, 2", "R_list = 1"))
     tight = MINIMAL.replace("kind = clt", "kind = tightness") \
                    .replace("dt = 0.01", "dt = 0.002")
     spanning = "seed = 7\nrecord_times = 0.002, 0.004, 0.008, 0.016, 0.04"
@@ -173,6 +183,49 @@ def test_degenerate_clt_raises():
         run_experiment(cfg)
 
 
+DEGENERATE_COSINE = """
+kind = clt
+d = 1
+beta = 0.5
+%s
+R_list = 1, 2, 3
+n_replicas = 120
+seed = 601
+
+[lattice]
+n = 64
+L = 8.0
+
+[sigma]
+kind = clipped-linear
+
+[init]
+kind = cosine
+offset = -1
+amplitude = 0.5
+"""
+
+
+@pytest.mark.parametrize("kind", ["variance-limit", "clt", "fclt",
+                                  "tightness", "decay"])
+def test_zero_sigma_at_every_start_cell_is_degenerate(kind, tmp_path, capsys,
+                                                      monkeypatch):
+    # u0 lies in [-1.5, -0.5], where max(u, 0) is 0: the start is not
+    # constant, yet u never leaves its mean and every G_R is 0
+    times = ("T = 0.04\ndt = 0.002\nrecord_times = 0.002, 0.004, 0.008, "
+             "0.02, 0.04" if kind == "tightness"
+             else "T = 0.05\nrecord_times = 0.025, 0.05")
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(DEGENERATE_COSINE % times)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("stepped a degenerate run")
+    monkeypatch.setattr("riesz_she.runner.run_replicas", no_run)
+    assert cli_main([kind, "--config", str(cfgfile)]) == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "sigma(u0) = 0 at every cell" in err
+
+
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     good = tmp_path / "good.cfg"
     good.write_text(MINIMAL)
@@ -184,6 +237,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli_main(["clt", "--config", str(bad)]) == EXIT_CONFIG
     two_r = tmp_path / "two_r.cfg"
     two_r.write_text(MINIMAL.replace("R_list = 0.5, 1, 2", "R_list = 1, 2"))
+    assert cli_main(["clt", "--config", str(two_r)]) == EXIT_CONFIG
+    two_r.write_text(MINIMAL.replace("R_list = 0.5, 1, 2", "R_list = 2, 2, 2"))
     assert cli_main(["clt", "--config", str(two_r)]) == EXIT_CONFIG
     assert cli_main(["clt", "--config", str(tmp_path / "absent.cfg")]) \
         == EXIT_CONFIG
@@ -234,6 +289,17 @@ def test_cli_seed_override_in_manifest(tmp_path):
     assert "seed = 123" in manifest["config"]
     assert sorted(manifest["files"]) == ["constants.csv", "reports.csv",
                                          "reports.json", "samples.csv"]
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    # --out names a file, so its directory cannot be made
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(CONSTANTS_CFG)
+    assert cli_main(["constants", "--config", str(cfgfile),
+                     "--out", str(cfgfile)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: cannot write %s" % cfgfile)
 
 
 @pytest.mark.parametrize("kind, text, extra", [
@@ -474,8 +540,7 @@ def test_pool_has_one_worker_per_chunk(monkeypatch):
             pooled = runner.run_replicas(cfg, cov, workers=workers)
             assert [blk.replica_ids for blk in pooled] == \
                 [blk.replica_ids for blk in serial]
-            assert all(np.array_equal(p.region_averages[t],
-                                      s.region_averages[t])
+            assert all(np.array_equal(p.reduced[t][0], s.reduced[t][0])
                        for p, s in zip(pooled, serial)
                        for t in cfg.record_times)
         assert sizes == want
@@ -509,12 +574,9 @@ SINE_AFFINE = "\n[sigma]\nkind = sine-affine\na = 1\nb = 0.5\n"
 def _field_stacks(cfg):
     # whole fields per record time, as a reference for the reductions
     blocks = simulate(build_embedding(cfg.lattice, cfg.spec), cfg.sigma,
-                      cfg.init, cfg.T, cfg.dt, cfg.record_times, cfg.regions,
-                      cfg.seed, range(cfg.n_replicas),
-                      {t: mean_field(cfg.init, t, cfg.lattice)
-                       for t in cfg.record_times},
-                      reducers={t: np.copy for t in cfg.record_times})
-    return {t: np.concatenate([blk.reduced[t] for blk in blocks])
+                      cfg.init, cfg.T, cfg.dt, cfg.seed, range(cfg.n_replicas),
+                      {t: (np.copy,) for t in cfg.record_times})
+    return {t: np.concatenate([blk.reduced[t][0] for blk in blocks])
             for t in cfg.record_times}
 
 
@@ -569,7 +631,9 @@ def test_decay_reduces_only_the_last_record_time(monkeypatch):
     monkeypatch.setattr(runner, "run_replicas", spy)
     rs = run_experiment(cfg)
     assert sum(len(blk.replica_ids) for blk in blocks) == 100
-    assert all(blk.reduced.keys() == {0.04} for blk in blocks)
+    # G_R at every record time; the lag means at the last one only
+    assert all({t: len(r) for t, r in blk.reduced.items()}
+               == {0.01: 1, 0.02: 1, 0.04: 2} for blk in blocks)
     assert rs.reduced.keys() == {0.04} and rs.reports
 
 
@@ -675,9 +739,12 @@ def test_limit_constant_kinds_run_and_emit(kind, metric, sigma, tmp_path,
     monkeypatch.setattr(runner, "run_replicas", spy)
     rs = run_experiment(cfg)
     assert blocks and all(not blk.fields_at_times for blk in blocks)
-    # one window mean per replica and record time
-    assert all(v.shape == (len(blk.replica_ids),)
-               for blk in blocks for v in blk.reduced.values())
+    # G_R, then one window mean per replica and record time where eta is
+    # estimated
+    assert all(g.shape == (len(blk.replica_ids), len(cfg.R_list))
+               and [v.shape for v in kind]
+               == [(len(blk.replica_ids),)] * bool(sigma)
+               for blk in blocks for g, *kind in blk.reduced.values())
     eta_se = runner._limit_constants(cfg, rs).eta_se
     assert bool(np.any(eta_se != 0)) == bool(sigma)
     reps = [r for r in rs.reports if r.metric == metric]

@@ -9,13 +9,23 @@ from riesz_she import (InitialCondition, Lattice, LimitConstants,
                        limit_covariance, mean_field, region_average,
                        simulate)
 from riesz_she.noise import cube_pair_integral
-from riesz_she.observables import ball_pair_integral, window_sigma_mean
+from riesz_she.observables import (ball_pair_integral, region_averages,
+                                   window_sigma_mean)
 
 K_BETA_HALF = 2 ** 2.5 / 0.75  # d=1, beta=0.5 ball: 7.54247...
 
 
 def const_field(lat, c):
     return SpatialField(lat, np.full(lat.shape, c))
+
+
+def g_r_reducer(init, t, lat, regions):
+    """The runner's G_R reducer of the regions at record time t."""
+    cells = [reg.cells(lat) for reg in regions]
+    mean = mean_field(init, t, lat).reshape(-1)
+    return functools.partial(region_averages, cells=cells,
+                             means=[mean[idx] for idx in cells],
+                             cell_volume=lat.cell_volume)
 
 
 def average(field_in, region, mean_field_in):
@@ -230,11 +240,9 @@ def window_mean_run():
     times = [0.0, 0.05, 0.1]
     window = Region("box", lat.L - 6 * np.sqrt(T)).cells(lat)
     reducer = functools.partial(window_sigma_mean, sigma=sigma, window=window)
-    blocks = simulate(cov, sigma, init, T, dt, times, [Region("ball", 2.0)],
-                      seed=31, replica_ids=range(150),
-                      mean_fields={t: mean_field(init, t, lat) for t in times},
-                      reducers={t: reducer for t in times})
-    means = {t: np.concatenate([blk.reduced[t] for blk in blocks])
+    blocks = simulate(cov, sigma, init, T, dt, seed=31, replica_ids=range(150),
+                      reducers={t: (reducer,) for t in times})
+    means = {t: np.concatenate([blk.reduced[t][0] for blk in blocks])
              for t in times}
     return lat, window, means
 
@@ -281,12 +289,11 @@ def test_translated_region_variance_invariance():
         return lat.cell_volume * rolled[:, idx].sum(axis=1)
 
     g0, g1 = [], []
-    for blk in simulate(cov, sigma, init, T, dt, [T], [region], seed=55,
-                        replica_ids=range(600),
-                        mean_fields={T: mean_field(init, T, lat)},
-                        reducers={T: translated}):
-        g0.extend(blk.region_averages[T][:, 0])
-        g1.extend(blk.reduced[T])
+    for blk in simulate(cov, sigma, init, T, dt, seed=55,
+                        replica_ids=range(600), reducers={T: (
+                            g_r_reducer(init, T, lat, [region]), translated)}):
+        g0.extend(blk.reduced[T][0][:, 0])
+        g1.extend(blk.reduced[T][1])
     assert len(g0) == len(g1) == 600
     v0, v1 = np.var(g0, ddof=1), np.var(g1, ddof=1)
     # variance of a variance estimate: rel se ~ sqrt(2/N) ~ 6%
@@ -304,10 +311,9 @@ def test_box_vs_ball_variance_ratio_d2():
     T, dt = 0.04, 0.002
     R = 1.0
     regions = [Region("ball", R), Region("box", R)]
-    blocks = simulate(cov, sigma, init, T, dt, [T], regions, seed=91,
-                      replica_ids=range(400),
-                      mean_fields={T: mean_field(init, T, lat)})
-    gb, gx = np.concatenate([blk.region_averages[T] for blk in blocks]).T
+    blocks = simulate(cov, sigma, init, T, dt, seed=91, replica_ids=range(400),
+                      reducers={T: (g_r_reducer(init, T, lat, regions),)})
+    gb, gx = np.concatenate([blk.reduced[T][0] for blk in blocks]).T
     k_ball = k_beta(Region("ball", 1.0), spec)
     k_box = k_beta(Region("box", 1.0), spec)
     emp_ratio = np.var(gx, ddof=1) / np.var(gb, ddof=1)

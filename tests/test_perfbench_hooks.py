@@ -45,20 +45,26 @@ def test_every_traced_name_resolves(launch):
 
 
 def test_chunk_and_region_hooks_see_the_run(launch, tmp_path, monkeypatch):
-    # the chunk wrapper reads fields_at_times off every returned block, and
-    # the region sums reach observables.region_average on the module
-    from riesz_she import observables
+    # the chunk wrapper reads fields_at_times off every returned block, the
+    # region sums reach observables.region_average on the module, and the
+    # traced layers' cell counters read the arguments of step and
+    # sample_slice
+    from riesz_she import engine, observables
     probe = launch.Probe(str(tmp_path / "probe.json"), traced=True)
     monkeypatch.setattr(runner, "_run_chunk",
                         probe._run_chunk(runner._run_chunk))
     monkeypatch.setattr(observables, "region_average",
                         probe._layer(observables.region_average))
+    for attr in ("step", "sample_slice"):
+        monkeypatch.setattr(engine, attr, probe._layer(getattr(engine, attr)))
     cfg = parse_config(CFG)
     blocks = runner.run_replicas(cfg, build_embedding(cfg.lattice, cfg.spec))
     assert all(blk.fields_at_times == {} for blk in blocks)
     assert [c[2] for c in probe.chunks] == [0]
     # one call per region and record time for the one block
     assert probe.layers["observables.region_average"][0] == 2
+    assert probe.layers["engine.step"][3] > 0
+    assert probe.layers["noise.sample_slice"][3] > 0
 
 
 def test_timed_probe_sees_the_run(launch, tmp_path, monkeypatch):
