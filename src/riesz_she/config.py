@@ -252,10 +252,15 @@ def _validate(cfg):
             for reg in cfg.regions:
                 reg.cells(cfg.lattice)
             check_margin(cfg.lattice, cfg.regions, cfg.T)
-            if cfg.kind == "decay":
-                lag_distances(cfg.lag_cells, cfg.lattice)
         except ValueError as exc:
             raise ConfigError(str(exc))
+        if cfg.kind == "decay":
+            try:
+                lag_distances(cfg.lag_cells, cfg.lattice)
+            except ValueError as exc:
+                raise ConfigError(str(exc) + (
+                    "" if cfg.lags is not None else "; these are the default "
+                    "lags for n and L: set lags or refine the lattice"))
         # G_R(0) = 0, and fclt divides by Var G_R(t) at every record time,
         # clt and variance-limit at the last one
         if (cfg.kind == "fclt" and 0 in record_steps) or (

@@ -45,25 +45,17 @@ class NonlinearitySpec:
         return "NonlinearitySpec(kind=%r, a=%r, b=%r, c=%r)" % (
             self.kind, self.a, self.b, self.c)
 
-    def __call__(self, v, out=None, scratch=None):
-        """sigma(v), written into out when given. sine-affine keeps b * v in
-        scratch, an array like out, or in a new one when scratch is None."""
+    def __call__(self, v):
+        """sigma(v). linear returns v itself, so callers must not write
+        into the result."""
         v = np.asarray(v, dtype=np.float64)
-        if out is None:
-            out = np.empty_like(v)
         if self.kind == "linear":
-            np.copyto(out, v)
-        elif self.kind == "affine":
-            np.multiply(self.a, v, out=out)
-            out += self.b
-        elif self.kind == "sine-affine":
-            np.sin(v, out=out)
-            out *= self.a
-            out += np.multiply(self.b, v, out=scratch)
-            out += self.c
-        else:
-            np.maximum(v, 0.0, out=out)
-        return out
+            return v
+        if self.kind == "affine":
+            return self.a * v + self.b
+        if self.kind == "sine-affine":
+            return self.a * np.sin(v) + self.b * v + self.c
+        return np.maximum(v, 0.0)
 
 
 class InitialCondition:
@@ -135,20 +127,18 @@ def heat_semigroup(values, lattice, tau):
     return spectral_multiply(values, heat_multiplier(lattice, tau))
 
 
-def step(state, noise, sigma, mult, kick=None, spec=None, scratch=None):
+def step(state, noise, sigma, mult, spec=None):
     """One exponential-Euler step of one field or of a (B, *grid) block of
     fields, in place: the new field overwrites state.field.values.
 
     noise is the slice dW, an array shaped like the field. mult is
-    heat_multiplier(lattice, state.dt). The kick u + sigma(u) dW is
-    written into kick, with scratch as sigma's scratch, and its spectrum
-    into spec (spectral_multiply). Raises on blow-up, naming the first
-    failing row of a block.
+    heat_multiplier(lattice, state.dt). The kick u + sigma(u) dW goes
+    through the complex half-spectrum spec (spectral_multiply). Raises on
+    blow-up, naming the first failing row of a block.
     """
     lat = state.field.lattice
     u = state.field.values
-    kick = sigma(u, kick, scratch)
-    kick *= noise
+    kick = sigma(u) * noise
     kick += u
     spectral_multiply(kick, mult, u, spec)
     state.step_index += 1
@@ -208,12 +198,14 @@ def simulate(noise_cov, sigma, init, T, dt, seed, replica_ids, reducers):
     order given.
 
     The ids are stepped in consecutive blocks of block_size(lattice), one
-    (B, *grid) array per block, through buffers allocated for the first
-    block (a short last block uses their leading rows). Row i draws each
-    step's n^d normals, in turn, from the one stream keyed by (seed,
-    replica id); they are drawn K steps at a time into a (B, K, *grid)
-    buffer, K = DRAW_BUDGET // (B n^d) clipped to [1, n_steps], and a
-    stream fills its row in stream order, so no byte depends on K.
+    (B, *grid) array per block; the field, the normals and one complex
+    half-spectrum are allocated for the first block (a short last block
+    uses their leading rows). Row i draws each step's n^d normals, in
+    turn, from the one stream keyed by (seed, replica id); they are drawn
+    K steps at a time into a (B, K, *grid) buffer, where each step's slice
+    is colored in place, K = DRAW_BUDGET // (B n^d) clipped to
+    [1, n_steps], and a stream fills its row in stream order, so no byte
+    depends on K.
     reducers maps each record time t to a tuple of picklable functions of
     the (B, *grid) block of fields; at t a block keeps reduced[t], the
     tuple of their arrays, each with the block's rows on its leading axis.
@@ -229,8 +221,7 @@ def simulate(noise_cov, sigma, init, T, dt, seed, replica_ids, reducers):
     B = min(block_size(lat), len(ids)) or 1
     u = np.empty((B,) + lat.shape)
     K = max(1, min(n_steps, DRAW_BUDGET // u.size))
-    buffers = (u, np.empty((B, K) + lat.shape), np.empty_like(u),
-               np.empty_like(u), np.empty_like(u),
+    buffers = (u, np.empty((B, K) + lat.shape),
                np.empty((B,) + mult.shape, complex))
 
     def record(res, state):
@@ -240,8 +231,7 @@ def simulate(noise_cov, sigma, init, T, dt, seed, replica_ids, reducers):
     results = []
     for lo in range(0, len(ids), B):
         res = BlockResult(replica_ids=ids[lo:lo + B])
-        u, w, colored, kick, scratch, spec = (
-            a[:len(res.replica_ids)] for a in buffers)
+        u, w, spec = (a[:len(res.replica_ids)] for a in buffers)
         u[...] = u0
         streams = [stream_for(seed, rid) for rid in res.replica_ids]
         state = FieldState(field=SpatialField(lat, u), step_index=0, dt=dt)
@@ -252,9 +242,9 @@ def simulate(noise_cov, sigma, init, T, dt, seed, replica_ids, reducers):
                 m = min(K, n_steps - k)
                 for g, row in zip(streams, w):
                     g.standard_normal(out=row[:m])
-            noise = sample_slice(noise_cov, dt, w[:, k % K], colored, spec)
+            noise = sample_slice(noise_cov, dt, w[:, k % K], w[:, k % K], spec)
             try:
-                step(state, noise, sigma, mult, kick, spec, scratch)
+                step(state, noise, sigma, mult, spec)
             except InstabilityError as exc:
                 raise InstabilityError("replica %d: %s" % (
                     res.replica_ids[exc.row], exc)) from exc

@@ -197,7 +197,7 @@ def sample_slice(cov, dt, w, out=None, spec=None):
     the circulant, so the covariance is exact (up to the recorded clamping).
     w is one grid, or a (B, *grid) block colored with one FFT pair over its
     last d axes; the slice is returned, written into out through spec
-    (spectral_multiply).
+    (spectral_multiply). out may be w itself.
     """
     if dt <= 0:
         raise ValueError("dt must be positive, got %r" % (dt,))

@@ -42,8 +42,12 @@ class Region:
         """Flat C-order indices of the cells inside the region."""
         idx = np.flatnonzero(self.mask(lattice))
         if idx.size == 0:
-            raise ValueError("region contains no cell centers (R=%g < h/2=%g?)"
-                             % (self.radius, lattice.h / 2.0))
+            # the nearest centers lie h/2 from 0 along each axis
+            name, edge = ("(h/2)*sqrt(d)", np.sqrt(lattice.d)) \
+                if self.kind == "ball" else ("h/2", 1.0)
+            raise ValueError("region contains no cell centers (%s R=%g < "
+                             "%s=%g)" % (self.kind, self.radius, name,
+                                         edge * lattice.h / 2))
         return idx
 
 

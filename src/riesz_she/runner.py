@@ -3,8 +3,8 @@
 Replicas never share mutable state and their random streams are keyed by
 (seed, replica_id), so results are independent of worker count and
 completion order. simulate returns one BlockResult per block of replicas;
-the blocks are put in replica_id order by their first id, and each record
-time's reductions are joined with one np.concatenate each.
+workers step contiguous runs of blocks, which arrive in replica_id order,
+and each record time's reductions are joined with one np.concatenate each.
 """
 
 import csv
@@ -85,27 +85,27 @@ def _reducers(cfg):
 def run_replicas(cfg, cov, workers=1):
     """simulate's BlockResults for all replicas, in replica_id order.
 
-    Workers take whole blocks of block_size(lattice) replicas and reduce
-    record-time fields to G_R and what the kind reads (_reducers). One
-    chunk runs in this process and loads no pool machinery; more fork a
-    process pool, whose modules are imported only then.
+    Workers take contiguous runs of blocks of block_size(lattice)
+    replicas and reduce record-time fields to G_R and what the kind reads
+    (_reducers). One chunk runs here and loads no pool machinery; more
+    fork a process pool, whose modules are imported only then.
     """
     reducers = _reducers(cfg)
     B = block_size(cfg.lattice)
     blocks = [range(lo, min(lo + B, cfg.n_replicas))
               for lo in range(0, cfg.n_replicas, B)]
     n_chunks = min(max(workers, 1), len(blocks))
+    cuts = [i * len(blocks) // n_chunks for i in range(n_chunks + 1)]
     args = [(cov, cfg.sigma, cfg.init, cfg.T, cfg.dt, cfg.seed,
-             [rid for blk in blocks[i::n_chunks] for rid in blk], reducers)
-            for i in range(n_chunks)]
+             [rid for blk in blocks[lo:hi] for rid in blk], reducers)
+            for lo, hi in zip(cuts, cuts[1:])]
     if n_chunks <= 1:
         parts = map(_run_chunk, args)
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_chunks) as pool:
             parts = list(pool.map(_run_chunk, args))
-    return sorted((blk for part in parts for blk in part),
-                  key=lambda blk: blk.replica_ids[0])
+    return [blk for part in parts for blk in part]
 
 
 def collect_samples(blocks, cfg):

@@ -49,7 +49,8 @@ def standardize(values):
     v = np.asarray(values, dtype=np.float64)
     var = float(v.var(ddof=1))
     if var < 1e-12:
-        raise DegenerateSigmaError("degenerate; sigma(1)=0?")
+        raise DegenerateSigmaError(
+            "G_R's sample variance %g is below the 1e-12 floor" % var)
     return v / np.sqrt(var)
 
 
@@ -288,7 +289,9 @@ def increment_r_scaling(samples_lo, samples_hi, time_pair, p=2):
 
 
 def lag_distances(lag_cells, lattice):
-    """Length of each lag (in cells), which must lie in [2h, L/4]."""
+    """Length of each lag (in cells), which must lie in [2h, L/4]. The
+    decay envelope is compared over the lags at least half the largest
+    length, so at least two must lie there."""
     dists = []
     for lag in lag_cells:
         dist = float(np.linalg.norm(np.asarray(lag) * lattice.h))
@@ -296,6 +299,12 @@ def lag_distances(lag_cells, lattice):
             raise ValueError("lag distance %g outside [2h, L/4] = [%g, %g]"
                              % (dist, 2 * lattice.h, lattice.L / 4.0))
         dists.append(dist)
+    if sum(x >= 0.5 * max(dists, default=0.0) for x in dists) < 2:
+        raise ValueError(
+            "lags %s (distances %s): fewer than 2 lie at half the largest "
+            "distance or more, where the decay envelope is compared"
+            % (", ".join(str(np.ravel(lag).tolist()) for lag in lag_cells),
+               ", ".join("%g" % x for x in dists)))
     return dists
 
 

@@ -379,11 +379,22 @@ def test_record_time_zero_is_a_base_time():
                           "0.004, 0.008, 0.02"))
 
 
-@pytest.mark.parametrize("r_list", ["0.1, 1", "0.5, nan"])
-def test_region_without_a_cell_is_a_config_error(r_list, tmp_path):
+@pytest.mark.parametrize("text, match", [
+    pytest.param(MINIMAL.replace("R_list = 0.5, 1, 2", "R_list = 0.1, 1"),
+                 r"no cell centers \(ball R=0.1 < \(h/2\)\*sqrt\(d\)=0.125\)",
+                 id="0.1, 1"),
+    pytest.param(MINIMAL.replace("R_list = 0.5, 1, 2", "R_list = 0.5, nan"),
+                 "positive", id="0.5, nan"),
+    # h = 2: the nearest centers of the plane lie at (h/2) sqrt(2) > 1.2
+    pytest.param(MINIMAL.replace("d = 1", "d = 2")
+                 .replace("R_list = 0.5, 1, 2", "R_list = 1.2, 3, 4")
+                 .replace("n = 32", "n = 8").replace("L = 4.0", "L = 8.0"),
+                 r"\(ball R=1.2 < \(h/2\)\*sqrt\(d\)=1.41421\)",
+                 id="d2-ball"),
+])
+def test_region_without_a_cell_is_a_config_error(text, match, tmp_path):
     # h/2 = 0.125: R = 0.1 holds no cell center, and nan is no radius
-    text = MINIMAL.replace("R_list = 0.5, 1, 2", "R_list = " + r_list)
-    with pytest.raises(ConfigError, match="no cell centers|positive"):
+    with pytest.raises(ConfigError, match=match):
         parse_config(text)
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(text)
@@ -508,8 +519,7 @@ def test_worker_count_does_not_change_results_across_blocks(tmp_path):
 def test_pool_has_one_worker_per_chunk(monkeypatch):
     # n=1024 cells give blocks of 32 replicas, so 120 replicas are 4
     # chunks; a fake pool records its size and maps in this process. With
-    # 3 workers the first chunk steps blocks 0 and 3, so the blocks come
-    # back out of replica order and the runner must sort them
+    # 3 workers the chunks step blocks 0, 1 and 2-3
     from riesz_she import runner
     sizes = []
 
@@ -656,6 +666,36 @@ def test_decay_lags_out_of_range_is_a_config_error(tmp_path, monkeypatch):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(text.replace("seed = 7", "seed = 7\nlags = 1, 2, 4"))
     assert cli_main(["decay", "--config", str(cfgfile)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("text, match", [
+    # lags 2 and 8 of n = 64, L = 4 are 0.25 and 1 long: 1 alone reaches 0.5
+    pytest.param(MINIMAL.replace("kind = clt", "kind = decay")
+                 .replace("dt = 0.01", "dt = 0.002")
+                 .replace("n = 32", "n = 64")
+                 .replace("n_replicas = 200", "n_replicas = 100")
+                 .replace("seed = 7", "seed = 601\nlags = 2, 8"),
+                 r"lags \[2\], \[8\] \(distances 0.25, 1\): fewer than 2",
+                 id="lags-2-8"),
+    # n = 16, L = 8: h = 1 and L/4 = 2, so the default lags are [2] alone
+    pytest.param(MINIMAL.replace("kind = clt", "kind = decay")
+                 .replace("T = 0.04\ndt = 0.01", "T = 0.25")
+                 .replace("R_list = 0.5, 1, 2", "R_list = 1, 2")
+                 .replace("n = 32", "n = 16").replace("L = 4.0", "L = 8.0")
+                 .replace("n_replicas = 200", "n_replicas = 100"),
+                 r"lags \[2\] .* set lags or refine the lattice",
+                 id="default-lags-n16"),
+])
+def test_decay_needs_two_lags_in_the_upper_half(text, match, tmp_path,
+                                                 capsys):
+    # the envelope's max/min over one lag is 1, a pass whatever the data
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(text)
+    assert cli_main(["decay", "--config", str(cfgfile)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: lags")
 
 
 @pytest.mark.parametrize("kind, sigma", [

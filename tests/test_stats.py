@@ -34,7 +34,8 @@ def test_standardize_empirical():
 
 
 def test_standardize_degenerate_and_bad_mode():
-    with pytest.raises(DegenerateSigmaError):
+    with pytest.raises(DegenerateSigmaError,
+                       match="sample variance 0 is below the 1e-12 floor"):
         standardize(np.zeros(200))
 
 
@@ -252,6 +253,12 @@ def test_correlation_decay_lag_window():
         correlation_decay_check(lag_means, [16], lat, 0.5)  # dist 4 > L/4
     with pytest.raises(ValueError, match="100 replicas"):
         correlation_decay_check(lag_means[:20], [8], lat, 0.5)
+    # one lag alone, or one at half the largest distance or more, would
+    # make the envelope's max/min 1 whatever the data
+    with pytest.raises(ValueError, match="fewer than 2"):
+        correlation_decay_check(lag_means, [8], lat, 0.5)
+    with pytest.raises(ValueError, match="fewer than 2"):
+        correlation_decay_check(np.ones((200, 3)), [2, 8], lat, 0.5)
 
 
 def test_lemma31_frozen_reference():
