@@ -8,8 +8,8 @@ from .noise import (Lattice, RieszSpec, SpatialField, SpectralCovariance,
 from .engine import (DegenerateSigmaError, FieldState, InitialCondition,
                      InstabilityError, NonlinearitySpec, heat_semigroup,
                      mean_field, simulate, step)
-from .observables import (LimitConstants, Region, estimate_eta, k_beta,
-                          limit_covariance, region_average)
+from .observables import (Region, estimate_eta, k_beta, limit_covariance,
+                          region_average)
 from .stats import (StatsReport, correlation_decay_check,
                     covariance_diagnostic, functional_cov_check,
                     increment_moment_fit, ks_distance, lemma31_check,

@@ -51,13 +51,18 @@ class Region:
         return idx
 
 
+def collar(T):
+    """6*sqrt(T): how far the torus wrap-around reaches by time T."""
+    return 6.0 * np.sqrt(T)
+
+
 def check_margin(lattice, regions, T):
-    """Torus must leave a 6*sqrt(T) collar outside every region."""
-    collar = 6.0 * np.sqrt(T)
+    """Torus must leave a collar(T) outside every region."""
+    width = collar(T)
     for reg in regions:
-        if lattice.L < reg.radius - 1e-12 + collar:
+        if lattice.L < reg.radius - 1e-12 + width:
             raise ValueError("L=%g < R_max+6*sqrt(T)=%g"
-                             % (lattice.L, reg.radius + collar))
+                             % (lattice.L, reg.radius + width))
 
 
 def region_average(flat, idx, mean_in_region, cell_volume):
@@ -98,8 +103,9 @@ def ball_pair_integral(d, beta):
                     - log_beta((d + 1.0) / 2.0, 0.5))
 
 
-def k_beta(region_unit, spec):
-    """Kernel double integral over the region, scaled as R^{2d-beta}.
+def k_beta(region_kind, spec):
+    """Kernel double integral over the unit region of region_kind ("ball"
+    or "box"); over the radius-R region it is this times R^{2d-beta}.
 
     In d=1 ball and box coincide with [-1,1]: 2^{3-beta}/((1-beta)(2-beta)).
     Otherwise the ball's closed form (ball_pair_integral), or for the box
@@ -109,46 +115,24 @@ def k_beta(region_unit, spec):
     if b >= d:
         raise ValueError("k diverges for beta >= d")
     if d == 1:
-        base = 2.0 ** (3.0 - b) / ((1.0 - b) * (2.0 - b))
-    elif region_unit.kind == "ball":
-        base = ball_pair_integral(d, b)
-    else:
-        base = 2.0 ** (2 * d - b) * cube_pair_integral(d, b)
-    return base * region_unit.radius ** (2 * d - b)
+        return 2.0 ** (3.0 - b) / ((1.0 - b) * (2.0 - b))
+    if region_kind == "ball":
+        return ball_pair_integral(d, b)
+    return 2.0 ** (2 * d - b) * cube_pair_integral(d, b)
 
 
-class LimitConstants:
-    """k constant plus the tabulated eta(s) = E sigma(u(s, .)) curve."""
-
-    def __init__(self, k_beta, t_grid, eta, eta_se=None):
-        t_grid = np.asarray(t_grid, dtype=np.float64)
-        eta = np.asarray(eta, dtype=np.float64)
-        if k_beta <= 0:
-            raise ValueError("k constant must be positive")
-        if t_grid.shape != eta.shape:
-            raise ValueError("t grid and eta curve must align")
-        if not np.all(np.isfinite(eta)):
-            raise ValueError("eta curve must be finite")
-        if np.any(np.diff(t_grid) <= 0):
-            raise ValueError("t grid must be strictly increasing")
-        self.k_beta, self.t_grid, self.eta = k_beta, t_grid, eta
-        self.eta_se = np.zeros_like(eta) if eta_se is None else eta_se
-
-    def eta_sq_integral(self, t):
-        """Trapezoidal integral of eta^2 over [0, t]; t must be on the grid."""
-        tg = self.t_grid
-        if t < tg[0] - 1e-12 or t > tg[-1] + 1e-12:
-            raise ValueError("t=%r outside tabulated range [%g, %g]"
-                             % (t, tg[0], tg[-1]))
-        if tg[0] > 1e-12:
-            raise ValueError("eta table must start at t=0")
-        idx = int(np.argmin(np.abs(tg - t)))
-        if abs(tg[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError("t=%r is not a tabulated time" % (t,))
-        # numpy's own trapezoid arithmetic, written out: np.trapz is gone
-        # in numpy 2.4 and np.trapezoid is missing before numpy 2.0
-        x, y = tg[: idx + 1], self.eta[: idx + 1] ** 2
-        return float(np.add.reduce(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+def eta_sq_integrals(t_grid, eta):
+    """{t: trapezoidal integral of eta^2 over [0, t]} for each t of t_grid,
+    an increasing grid from 0 at which eta holds eta(t)."""
+    t = np.asarray(t_grid, dtype=np.float64)
+    y = np.asarray(eta, dtype=np.float64) ** 2
+    # numpy's own trapezoid arithmetic, written out: np.trapz is gone
+    # in numpy 2.4 and np.trapezoid is missing before numpy 2.0. Each
+    # prefix is reduced alone, as np.trapezoid reduces it; np.cumsum's
+    # running sums would round differently
+    areas = np.diff(t) * (y[1:] + y[:-1]) / 2.0
+    return {s: float(np.add.reduce(areas[:i]))
+            for i, s in enumerate(t.tolist())}
 
 
 def window_sigma_mean(block, sigma, window):
@@ -173,10 +157,10 @@ def estimate_eta(means_by_time):
             per_rep.std(axis=1, ddof=1) / np.sqrt(n))
 
 
-def limit_covariance(times, constants):
-    """C_ij = k * int_0^{min(t_i, t_j)} eta^2; PSD by min-kernel structure."""
-    return np.array([[constants.k_beta * constants.eta_sq_integral(min(s, t))
-                      for t in times] for s in times])
+def limit_covariance(times, limit):
+    """C_ij = limit[min(t_i, t_j)], where limit maps each time to
+    k * int_0^t eta^2; PSD by min-kernel structure."""
+    return np.array([[limit[min(s, t)] for t in times] for s in times])
 
 
 def constants_rows(spec, region_kind="ball"):
@@ -184,5 +168,5 @@ def constants_rows(spec, region_kind="ball"):
     the one k_beta row, exact up to rounding, so its stderr is 0."""
     method = ("quadrature" if region_kind == "box" and spec.d >= 2
               else "closed-form")
-    val = k_beta(Region(kind=region_kind, radius=1.0), spec)
-    return [("k_beta", spec.d, spec.beta, region_kind, val, 0.0, method)]
+    return [("k_beta", spec.d, spec.beta, region_kind,
+             k_beta(region_kind, spec), 0.0, method)]

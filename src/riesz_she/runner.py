@@ -19,13 +19,14 @@ from . import __version__
 from .engine import (DegenerateSigmaError, NonlinearitySpec, block_size,
                      mean_field, simulate)
 from .noise import build_embedding, sample_slice
-from .observables import (LimitConstants, Region, constants_rows, estimate_eta,
-                          k_beta, region_averages, window_sigma_mean)
-from .stats import (KS_FLOOR_1PCT, StatsReport, correlation_decay_check,
+from .observables import (Region, collar, constants_rows, estimate_eta,
+                          eta_sq_integrals, k_beta, region_averages,
+                          window_sigma_mean)
+from .stats import (StatsReport, correlation_decay_check,
                     covariance_diagnostic, functional_cov_check,
                     increment_moment_fit, increment_r_scaling, ks_distance,
-                    lemma31_check, rate_fit, scaling_fit, sigma_lag_means,
-                    standardize, variance_stderr)
+                    ks_floor, lemma31_check, rate_fit, scaling_fit,
+                    sigma_lag_means, standardize, variance_stderr)
 from .streams import stream_for
 
 EXIT_PASS = 0
@@ -66,7 +67,7 @@ def _reducers(cfg):
     kind = ()
     if cfg.kind in ("variance-limit", "fclt") and not cfg.eta_exact:
         # cells the torus wrap-around has not reached by time T
-        window = Region("box", lat.L - 6.0 * np.sqrt(cfg.T))
+        window = Region("box", lat.L - collar(cfg.T))
         kind = (functools.partial(window_sigma_mean, sigma=cfg.sigma,
                                   window=window.cells(lat)),)
     cells = [reg.cells(lat) for reg in cfg.regions]
@@ -129,22 +130,21 @@ def _check_degenerate(cfg):
             "G_R vanishes")
 
 
-def _limit_constants(cfg, rs):
-    """Exact eta where available, else estimated from the window means."""
-    unit = Region(kind=cfg.region_kind, radius=1.0)
-    k_val = k_beta(unit, cfg.spec)
+def _limit_variances(cfg, rs):
+    """{t: k * int_0^t eta^2} at 0 and each record time, the limit of
+    Var G_R(t) / R^{2d-beta}: eta exact where available, else estimated
+    from the window means."""
     if cfg.eta_exact:
-        t_grid = sorted(set([0.0] + list(cfg.record_times)))
-        eta0 = float(cfg.sigma(np.float64(cfg.init.value)))
-        return LimitConstants(k_beta=k_val, t_grid=np.array(t_grid),
-                              eta=np.full(len(t_grid), eta0))
-    times, eta, se = estimate_eta(rs.reduced)
-    if 0.0 not in times:
-        eta0 = float(np.mean(cfg.sigma(cfg.init.field_on(cfg.lattice))))
-        times = np.concatenate([[0.0], times])
-        eta = np.concatenate([[eta0], eta])
-        se = np.concatenate([[0.0], se])
-    return LimitConstants(k_beta=k_val, t_grid=times, eta=eta, eta_se=se)
+        times = sorted(set([0.0] + list(cfg.record_times)))
+        eta = np.full(len(times), float(cfg.sigma(np.float64(cfg.init.value))))
+    else:
+        times, eta, _ = estimate_eta(rs.reduced)
+        if 0.0 not in times:
+            eta0 = float(np.mean(cfg.sigma(cfg.init.field_on(cfg.lattice))))
+            times = np.concatenate([[0.0], times])
+            eta = np.concatenate([[eta0], eta])
+    k = k_beta(cfg.region_kind, cfg.spec)
+    return {t: k * v for t, v in eta_sq_integrals(times, eta).items()}
 
 
 # --- per-kind pipelines -----------------------------------------------------
@@ -176,10 +176,9 @@ def _run_simulation_kind(cfg, workers):
 
 def _run_variance_limit(cfg, workers):
     rs = _run_simulation_kind(cfg, workers)
-    constants = _limit_constants(cfg, rs)
     d, beta = cfg.spec.d, cfg.spec.beta
     t = max(cfg.record_times)
-    target = constants.k_beta * constants.eta_sq_integral(t)
+    target = _limit_variances(cfg, rs)[t]
     rel_errors = {}
     for R in sorted(cfg.R_list):
         g = rs.samples[R][t]
@@ -239,7 +238,7 @@ def _run_clt(cfg, workers):
         metric="ks_rate_exponent", params={"t": t},
         estimate=exponent, target=-beta / 2.0, tolerance=float("inf"),
         passed=rate_ok, stderr=exp_se, note=note))
-    floor = KS_FLOOR_1PCT / np.sqrt(cfg.n_replicas)
+    floor = ks_floor(cfg.n_replicas)
     exceptions = sum(1 for (ra, da), (rb, db) in zip(ks_pairs, ks_pairs[1:])
                      if db > da and db > floor)
     rs.reports.append(StatsReport(
@@ -252,10 +251,9 @@ def _run_clt(cfg, workers):
 
 def _run_fclt(cfg, workers):
     rs = _run_simulation_kind(cfg, workers)
-    constants = _limit_constants(cfg, rs)
     R = max(cfg.R_list)
     rs.reports.extend(functional_cov_check(
-        rs.samples[R], cfg.record_times, R, constants,
+        rs.samples[R], cfg.record_times, R, _limit_variances(cfg, rs),
         cfg.spec.d, cfg.spec.beta))
     return rs
 

@@ -179,6 +179,12 @@ def scaling_fit(pairs):
     return float(slope), float(intercept), float(stderr)
 
 
+def ks_floor(n_replicas):
+    """The KS distance of N exact-normal values lies below this 99% of the
+    time."""
+    return KS_FLOOR_1PCT / np.sqrt(n_replicas)
+
+
 def rate_fit(pairs, n_replicas):
     """Slope of log KS distance vs log R, gated by the statistical floor.
 
@@ -186,7 +192,7 @@ def rate_fit(pairs, n_replicas):
     treat the result as diagnostic: acceptance is slope <= 0, not equality
     with the theoretical exponent.
     """
-    floor = KS_FLOOR_1PCT / np.sqrt(n_replicas)
+    floor = ks_floor(n_replicas)
     usable, excluded = [], []
     for R, dist in pairs:
         if dist <= floor:
@@ -205,9 +211,10 @@ def rate_fit(pairs, n_replicas):
     return float(slope), float(stderr), excluded
 
 
-def functional_cov_check(samples_by_time, times, R, constants, d, beta):
+def functional_cov_check(samples_by_time, times, R, limit, d, beta):
     """Compare the empirical covariance of normalized averages at several
-    times to the Brownian-type limit k * int_0^{min} eta^2."""
+    times to the Brownian-type limit k * int_0^{min} eta^2, read from
+    limit, the map of each time to k * int_0^t eta^2."""
     times = list(times)
     if len(times) < 2:
         raise ValueError("need at least two times")
@@ -216,7 +223,7 @@ def functional_cov_check(samples_by_time, times, R, constants, d, beta):
     emp = np.cov(X, rowvar=False)
     if np.linalg.matrix_rank(emp) < len(times):
         raise ValueError("singular empirical covariance")
-    C = limit_covariance(times, constants)
+    C = limit_covariance(times, limit)
     dd = np.sqrt(np.diag(emp))
     emp_corr = emp / np.outer(dd, dd)
     cc = np.sqrt(np.diag(C))

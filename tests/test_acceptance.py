@@ -16,13 +16,13 @@ import sys
 import numpy as np
 import pytest
 
-from riesz_she import (InitialCondition, RieszSpec, build_embedding,
+from riesz_she import (InitialCondition, RieszSpec, build_embedding, runner,
                        simulate)
 from riesz_she.cli import main as cli_main
 from riesz_she.config import parse_config
-from riesz_she.observables import LimitConstants, k_beta
-from riesz_she.runner import (EXIT_DEGENERATE, _reducers, collect_samples,
-                              run_experiment, run_replicas)
+from riesz_she.observables import eta_sq_integrals
+from riesz_she.runner import (EXIT_DEGENERATE, ResultSet, _reducers,
+                              collect_samples, run_experiment, run_replicas)
 from riesz_she.stats import (functional_cov_check,
                              increment_moment_fit, increment_r_scaling,
                              ks_distance, lemma31_check, rate_fit,
@@ -162,13 +162,27 @@ def test_criterion_05_rate_direction(reference_run):
     assert ok
 
 
+def test_clt_run_fits_the_rate_of_criterion_05(reference_run, monkeypatch):
+    # every KS of the reference run lies above the floor, so the clt
+    # pipeline fits its rate instead of passing it as all at the floor
+    cfg, samples, _ = reference_run
+    monkeypatch.setattr(runner, "_run_simulation_kind",
+                        lambda cfg, workers: ResultSet(config=cfg,
+                                                       samples=samples))
+    rep, = [r for r in runner._run_clt(cfg, workers=1).reports
+            if r.metric == "ks_rate_exponent"]
+    exponent, _, _ = rate_fit(_ks_by_R(samples), cfg.n_replicas)
+    assert rep.estimate == exponent and rep.estimate <= 0.0 and rep.passed
+    assert rep.note == "one-sided upper-bound rate; 0 floor-gated points"
+
+
 def test_criterion_06_functional_clt(reference_run):
     cfg, samples, _ = reference_run
-    constants = LimitConstants(k_beta=K_BETA, t_grid=[0.0] + TIMES,
-                               eta=np.ones(len(TIMES) + 1))
+    limit = {t: K_BETA * v for t, v in
+             eta_sq_integrals([0.0] + TIMES, np.ones(len(TIMES) + 1)).items()}
     reports = functional_cov_check(
         {t: samples[16.0][t] for t in (0.1, 0.2)}, [0.1, 0.2], 16.0,
-        constants, d=1, beta=0.5)
+        limit, d=1, beta=0.5)
     corr = [r for r in reports if r.metric == "fclt_correlation"][0]
     ok = abs(corr.estimate - np.sqrt(0.5)) <= 0.05
     report(6, "functional CLT", ok,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,16 @@ def test_canonical_text_round_trip():
     cfg2 = parse_config(cfg.canonical_text())
     assert cfg2.config_hash() == cfg.config_hash()
     assert cfg2.dt == cfg.dt and cfg2.R_list == cfg.R_list
+    # a cosine start under each sigma kind
+    for sigma in ("linear", "affine\na = 0.3\nb = -0.1",
+                  "sine-affine\na = 0.3\nb = 0.7\nc = 0.1", "clipped-linear"):
+        cfg = parse_config(MINIMAL + "\n[sigma]\nkind = %s\n\n[init]\n"
+                           "kind = cosine\noffset = 0.1\namplitude = 0.7\n"
+                           "cycles = 3\n" % sigma)
+        cfg2 = parse_config(cfg.canonical_text())
+        assert cfg2.config_hash() == cfg.config_hash()
+        assert vars(cfg2.init) == vars(cfg.init)
+        assert vars(cfg2.sigma) == vars(cfg.sigma)
 
 
 def test_store_fields_line_is_ignored():
@@ -401,32 +412,62 @@ def test_region_without_a_cell_is_a_config_error(text, match, tmp_path):
     assert cli_main(["clt", "--config", str(cfgfile)]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("key, line, kind", [
-    ("T", "T = inf", "clt"),
-    ("L", "L = nan", "clt"),
-    ("L", "L = inf", "clt"),
-    ("dt", "dt = nan", "noise-validate"),
-    # [sigma] and [init] keys, each appended as a section of its own
-    pytest.param("a", "[sigma]\nkind = affine\na = nan", "clt", id="a-nan"),
-    pytest.param("b", "[sigma]\nkind = affine\nb = -inf", "clt", id="b-inf"),
-    pytest.param("c", "[sigma]\nkind = sine-affine\nc = inf", "clt",
+@pytest.mark.parametrize("key, line, kind, match", [
+    # match None: "key '<key>' ... not a finite number"
+    pytest.param("T", "T = inf", "clt", None, id="T-T = inf-clt"),
+    pytest.param("L", "L = nan", "clt", None, id="L-L = nan-clt"),
+    pytest.param("L", "L = inf", "clt", None, id="L-L = inf-clt"),
+    pytest.param("dt", "dt = nan", "noise-validate", None,
+                 id="dt-dt = nan-noise-validate"),
+    # [sigma] and [init] keys, each inserted as a section of its own
+    pytest.param("a", "[sigma]\nkind = affine\na = nan", "clt", None,
+                 id="a-nan"),
+    pytest.param("b", "[sigma]\nkind = affine\nb = -inf", "clt", None,
+                 id="b-inf"),
+    pytest.param("c", "[sigma]\nkind = sine-affine\nc = inf", "clt", None,
                  id="c-inf"),
-    pytest.param("value", "[init]\nvalue = nan", "clt", id="value-nan"),
+    pytest.param("value", "[init]\nvalue = nan", "clt", None, id="value-nan"),
     pytest.param("offset", "[init]\nkind = cosine\noffset = nan\n"
-                 "amplitude = 1", "clt", id="offset-nan"),
+                 "amplitude = 1", "clt", None, id="offset-nan"),
     pytest.param("amplitude", "[init]\nkind = cosine\noffset = 1\n"
-                 "amplitude = inf", "clt", id="amplitude-inf"),
+                 "amplitude = inf", "clt", None, id="amplitude-inf"),
+    # a required key left out (its line emptied), and values out of range
+    pytest.param("d", "", "clt", "missing required key 'd'", id="d-missing"),
+    pytest.param("n", "", "clt", "missing required key 'n'", id="n-missing"),
+    pytest.param("[init] kind", "[init]\nkind = sphere", "clt",
+                 "unknown init kind 'sphere'", id="init-kind-sphere"),
+    pytest.param("T", "T = -1", "clt", "T must be nonnegative, got -1",
+                 id="T-negative"),
+    pytest.param("dt", "dt = 0", "clt", "dt must be positive, got 0",
+                 id="dt-zero"),
+    pytest.param("region_kind", "region_kind = cube", "clt",
+                 "region_kind must be ball or box, got 'cube'",
+                 id="region_kind-cube"),
+    pytest.param("T", "", "clt", "T must be positive for kind 'clt'",
+                 id="T-missing"),
+    pytest.param("R_list", "", "clt", "R_list is required for kind 'clt'",
+                 id="R_list-missing"),
+    pytest.param("record_times", "record_times = 0.02, 0.05", "clt",
+                 "record time 0.05 exceeds horizon 0.04",
+                 id="record_times-past-T"),
 ])
-def test_non_finite_T_L_or_dt_is_a_config_error(key, line, kind, tmp_path):
+def test_non_finite_T_L_or_dt_is_a_config_error(key, line, kind, match,
+                                                tmp_path, capsys):
+    # the line replaces the key's line in MINIMAL, or goes in before its
+    # [lattice] section; each exits 4 with one line that names the key
+    match = match or "key '%s'.*not a finite" % key
     text = "\n".join(line if ln.startswith(key + " =") else ln
                      for ln in MINIMAL.splitlines())
     if line not in text:
-        text += "\n" + line + "\n"
-    with pytest.raises(ConfigError, match="key '%s'.*not a finite" % key):
+        text = text.replace("[lattice]", line + "\n\n[lattice]")
+    with pytest.raises(ConfigError, match=match):
         parse_config(text)
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(text)
     assert cli_main([kind, "--config", str(cfgfile)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert re.search(match, err)
 
 
 @pytest.mark.parametrize("y_list", ["0", "0.5, nan", "inf"])
@@ -763,9 +804,9 @@ def test_exact_eta_kinds_need_a_sample_covariance(kind, need, tmp_path,
         "variance-limit-sine-affine"])
 def test_limit_constant_kinds_run_and_emit(kind, metric, sigma, tmp_path,
                                            monkeypatch):
-    # both kinds normalise by k * int_0^t eta^2, so they reach
-    # LimitConstants.eta_sq_integral end to end; a nonlinear sigma makes
-    # the runner estimate eta from one window mean per replica and time
+    # both kinds normalise by k * int_0^t eta^2, so they reach the runner's
+    # map of it end to end; a nonlinear sigma makes the runner estimate
+    # eta from one window mean per replica and time
     from riesz_she import runner
     cfg = parse_config(MINIMAL.replace("kind = clt", "kind = " + kind)
                        .replace("seed = 7",
@@ -777,6 +818,12 @@ def test_limit_constant_kinds_run_and_emit(kind, metric, sigma, tmp_path,
         blocks.extend(real(*args, **kwargs))
         return blocks
     monkeypatch.setattr(runner, "run_replicas", spy)
+    real_eta, eta_calls = runner.estimate_eta, []
+
+    def eta_spy(means):
+        eta_calls.append(means)
+        return real_eta(means)
+    monkeypatch.setattr(runner, "estimate_eta", eta_spy)
     rs = run_experiment(cfg)
     assert blocks and all(not blk.fields_at_times for blk in blocks)
     # G_R, then one window mean per replica and record time where eta is
@@ -785,8 +832,7 @@ def test_limit_constant_kinds_run_and_emit(kind, metric, sigma, tmp_path,
                and [v.shape for v in kind]
                == [(len(blk.replica_ids),)] * bool(sigma)
                for blk in blocks for g, *kind in blk.reduced.values())
-    eta_se = runner._limit_constants(cfg, rs).eta_se
-    assert bool(np.any(eta_se != 0)) == bool(sigma)
+    assert len(eta_calls) == bool(sigma)
     reps = [r for r in rs.reports if r.metric == metric]
     assert reps and all(np.isfinite(r.estimate) and np.isfinite(r.target)
                         and r.target > 0 for r in reps)

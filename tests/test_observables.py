@@ -3,14 +3,13 @@ import functools
 import numpy as np
 import pytest
 
-from riesz_she import (InitialCondition, Lattice, LimitConstants,
-                       NonlinearitySpec, Region, RieszSpec, SpatialField,
-                       build_embedding, estimate_eta, k_beta,
-                       limit_covariance, mean_field, region_average,
+from riesz_she import (InitialCondition, Lattice, NonlinearitySpec, Region,
+                       RieszSpec, SpatialField, build_embedding, estimate_eta,
+                       k_beta, limit_covariance, mean_field, region_average,
                        simulate)
 from riesz_she.noise import cube_pair_integral
-from riesz_she.observables import (ball_pair_integral, region_averages,
-                                   window_sigma_mean)
+from riesz_she.observables import (ball_pair_integral, eta_sq_integrals,
+                                   region_averages, window_sigma_mean)
 
 K_BETA_HALF = 2 ** 2.5 / 0.75  # d=1, beta=0.5 ball: 7.54247...
 
@@ -124,7 +123,7 @@ def test_region_box_mask_d2():
 
 def test_k_beta_closed_form():
     for kind in ("ball", "box"):
-        val = k_beta(Region(kind, 1.0), RieszSpec(1, 0.5))
+        val = k_beta(kind, RieszSpec(1, 0.5))
         assert val == pytest.approx(K_BETA_HALF, rel=1e-12)
         assert val == pytest.approx(7.54247, abs=1e-5)
 
@@ -150,18 +149,15 @@ def test_pair_integrals_converged_in_nodes(monkeypatch):
 
 def test_k_beta_d2_frozen_reference():
     # d=2, beta=1 unit disk: exact value 16*pi/3
-    assert k_beta(Region("ball", 1.0), RieszSpec(2, 1.0)) == pytest.approx(
+    assert k_beta("ball", RieszSpec(2, 1.0)) == pytest.approx(
         16 * np.pi / 3, rel=1e-13, abs=0)
     # d=2, beta=1.5: unit square 8.05561 and unit disk 34.0685 by adaptive
     # quadrature, frozen here; 1e6-pair Monte Carlo gave 7.741 and 32.876
     assert cube_pair_integral(2, 1.5) == pytest.approx(8.05561, abs=1e-5)
-    assert k_beta(Region("ball", 1.0), RieszSpec(2, 1.5)) == pytest.approx(
+    assert k_beta("ball", RieszSpec(2, 1.5)) == pytest.approx(
         34.0685, abs=1e-4)
-    assert k_beta(Region("box", 1.0), RieszSpec(2, 1.5)) == pytest.approx(
+    assert k_beta("box", RieszSpec(2, 1.5)) == pytest.approx(
         2 ** 2.5 * cube_pair_integral(2, 1.5), rel=1e-15, abs=0)
-    # R^{2d-beta} scaling
-    assert k_beta(Region("ball", 2.0), RieszSpec(2, 1.0)) == pytest.approx(
-        16 * np.pi / 3 * 2 ** 3, rel=1e-13, abs=0)
 
 
 def test_k_beta_ball_d3_pair_density():
@@ -172,21 +168,14 @@ def test_k_beta_ball_d3_pair_density():
         exact = vol ** 2 * 3 * (2 ** (3 - b) / (3 - b)
                                 - 0.75 * 2 ** (4 - b) / (4 - b)
                                 + 2 ** (6 - b) / (16 * (6 - b)))
-        assert k_beta(Region("ball", 1.0), RieszSpec(3, b)) == \
+        assert k_beta("ball", RieszSpec(3, b)) == \
             pytest.approx(exact, rel=1e-13, abs=0)
 
 
-def test_limit_constants_validation():
-    with pytest.raises(ValueError):
-        LimitConstants(k_beta=-1.0, t_grid=[0.0, 1.0], eta=[1.0, 1.0])
-    with pytest.raises(ValueError):
-        LimitConstants(k_beta=1.0, t_grid=[0.0, 1.0], eta=[1.0])
-
-
 def test_limit_covariance_linear_case():
-    constants = LimitConstants(k_beta=K_BETA_HALF, t_grid=[0.0, 0.1, 0.2],
-                               eta=np.ones(3))
-    C = limit_covariance([0.1, 0.2], constants)
+    limit = {t: K_BETA_HALF * v
+             for t, v in eta_sq_integrals([0.0, 0.1, 0.2], np.ones(3)).items()}
+    C = limit_covariance([0.1, 0.2], limit)
     assert C[0, 0] == pytest.approx(K_BETA_HALF * 0.1, rel=1e-12)
     assert C[0, 1] == pytest.approx(K_BETA_HALF * 0.1, rel=1e-12)
     corr = C[0, 1] / np.sqrt(C[0, 0] * C[1, 1])
@@ -196,9 +185,9 @@ def test_limit_covariance_linear_case():
 def test_limit_covariance_psd():
     rng = np.random.default_rng(6)
     tg = np.concatenate([[0.0], np.sort(rng.random(6))])
-    constants = LimitConstants(k_beta=2.0, t_grid=tg,
-                               eta=rng.standard_normal(len(tg)))
-    C = limit_covariance(list(tg[1:]), constants)
+    limit = {t: 2.0 * v for t, v in
+             eta_sq_integrals(tg, rng.standard_normal(len(tg))).items()}
+    C = limit_covariance(list(tg[1:]), limit)
     assert np.min(np.linalg.eigvalsh(C)) >= -1e-10
 
 
@@ -207,7 +196,7 @@ def test_eta_sq_integral_uneven_trapezoid():
     # missing endpoint would change every value below
     tg = [0.0, 0.1, 0.25, 0.3, 0.7]
     eta = [1.0, 2.0, -1.0, 3.0, 0.5]
-    constants = LimitConstants(k_beta=1.0, t_grid=tg, eta=eta)
+    integrals = eta_sq_integrals(tg, eta)
     # eta^2 = 1, 4, 1, 9, 0.25; sum of (t_{i+1} - t_i) * (f_i + f_{i+1}) / 2
     hand = {0.0: 0.0,
             0.1: 0.1 * 5 / 2,
@@ -215,18 +204,18 @@ def test_eta_sq_integral_uneven_trapezoid():
             0.3: 0.1 * 5 / 2 + 0.15 * 5 / 2 + 0.05 * 10 / 2,
             0.7: 0.1 * 5 / 2 + 0.15 * 5 / 2 + 0.05 * 10 / 2
             + 0.4 * 9.25 / 2}
+    assert list(integrals) == tg
     for t, expected in hand.items():
-        assert constants.eta_sq_integral(t) == pytest.approx(expected,
-                                                             rel=1e-14)
+        assert integrals[t] == pytest.approx(expected, rel=1e-14)
     if hasattr(np, "trapezoid"):
         rng = np.random.default_rng(11)
         for _ in range(20):
             tg = np.concatenate([[0.0], np.sort(rng.random(9))])
-            constants = LimitConstants(k_beta=1.0, t_grid=tg,
-                                       eta=rng.standard_normal(len(tg)))
+            eta = rng.standard_normal(len(tg))
+            integrals = eta_sq_integrals(tg, eta)
             for i, t in enumerate(tg):
-                assert constants.eta_sq_integral(t) == float(np.trapezoid(
-                    constants.eta[: i + 1] ** 2, tg[: i + 1]))
+                assert integrals[t] == float(np.trapezoid(
+                    eta[: i + 1] ** 2, tg[: i + 1]))
 
 
 @pytest.fixture(scope="module")
@@ -314,7 +303,7 @@ def test_box_vs_ball_variance_ratio_d2():
     blocks = simulate(cov, sigma, init, T, dt, seed=91, replica_ids=range(400),
                       reducers={T: (g_r_reducer(init, T, lat, regions),)})
     gb, gx = np.concatenate([blk.reduced[T][0] for blk in blocks]).T
-    k_ball = k_beta(Region("ball", 1.0), spec)
-    k_box = k_beta(Region("box", 1.0), spec)
+    k_ball = k_beta("ball", spec)
+    k_box = k_beta("box", spec)
     emp_ratio = np.var(gx, ddof=1) / np.var(gb, ddof=1)
     assert emp_ratio == pytest.approx(k_box / k_ball, rel=0.15)

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riesz_she import (DegenerateSigmaError, Lattice, LimitConstants,
-                       NonlinearitySpec, RieszSpec, build_embedding,
+from riesz_she import (DegenerateSigmaError, Lattice, NonlinearitySpec,
+                       RieszSpec, build_embedding, limit_covariance,
                        sample_slice)
+from riesz_she.observables import eta_sq_integrals
 from riesz_she.stats import (_KUMMER_MAX_Z, KS_FLOOR_1PCT, StatsReport,
                              _gaussian_smoothed_kernel, _hyp1f1_neg, _linfit,
                              _ndtr,
@@ -154,6 +155,12 @@ def test_increment_moment_fit_brownian():
     assert rep2.passed and rep2.estimate == pytest.approx(1.0, abs=0.05)
     rep4 = increment_moment_fit(samples, pairs, p=4)
     assert rep4.passed and rep4.estimate == pytest.approx(2.0, abs=0.1)
+    # a t = s pair and an increment below the 1e-300 floor are skipped
+    samples[0.5] = samples[times[-1]]
+    with pytest.warns(UserWarning, match=r"\(0.16, 0.5\) below noise floor"):
+        rep = increment_moment_fit(samples, [(0.0, 0.0)] + pairs
+                                   + [(times[-1], 0.5)], p=2)
+    assert (rep.estimate, rep.stderr) == (rep2.estimate, rep2.stderr)
 
 
 def test_increment_moment_fit_errors():
@@ -174,17 +181,18 @@ def test_increment_r_scaling_ratio():
         pytest.approx(16.0, rel=1e-12)
 
 
+LIMIT_HALF = {t: K_BETA_HALF * v for t, v in
+              eta_sq_integrals([0.0, 0.1, 0.2], np.ones(3)).items()}
+
+
 def test_functional_cov_check_synthetic():
     times = [0.1, 0.2]
-    constants = LimitConstants(k_beta=K_BETA_HALF, t_grid=[0.0, 0.1, 0.2],
-                               eta=np.ones(3))
-    from riesz_she import limit_covariance
-    C = limit_covariance(times, constants)
+    C = limit_covariance(times, LIMIT_HALF)
     rng = np.random.default_rng(4)
     X = rng.multivariate_normal(np.zeros(2), C, size=40_000)
     samples = {t: X[:, i] for i, t in enumerate(times)}  # R normalization = 1
     reports = functional_cov_check(samples, times, R=1.0,
-                                   constants=constants, d=1, beta=0.5)
+                                   limit=LIMIT_HALF, d=1, beta=0.5)
     assert all(r.passed for r in reports)
     corr = [r for r in reports if r.metric == "fclt_correlation"]
     assert corr[0].target == pytest.approx(np.sqrt(0.5), rel=1e-12)
@@ -192,14 +200,17 @@ def test_functional_cov_check_synthetic():
 
 def test_functional_cov_check_detects_mismatch():
     times = [0.1, 0.2]
-    constants = LimitConstants(k_beta=K_BETA_HALF, t_grid=[0.0, 0.1, 0.2],
-                               eta=np.ones(3))
     rng = np.random.default_rng(5)
     samples = {t: rng.standard_normal(20_000) for t in times}  # independent
     reports = functional_cov_check(samples, times, R=1.0,
-                                   constants=constants, d=1, beta=0.5)
+                                   limit=LIMIT_HALF, d=1, beta=0.5)
     corr = [r for r in reports if r.metric == "fclt_correlation"]
     assert not corr[0].passed  # correlation ~0 vs target 0.707
+    # one sample at both times: no correlation to compare
+    samples[0.2] = samples[0.1]
+    with pytest.raises(ValueError, match="singular empirical covariance"):
+        functional_cov_check(samples, times, R=1.0, limit=LIMIT_HALF, d=1,
+                             beta=0.5)
 
 
 def test_correlation_decay_on_noise_slices():
@@ -242,6 +253,11 @@ def test_correlation_decay_degenerate_sigma():
     lag_means = sigma_lag_means(np.ones((200, 64)), deg, [2, 4, 8])
     rep, rows = correlation_decay_check(lag_means, [2, 4, 8], lat, 0.5)
     assert rep.passed and rep.estimate == 1.0
+    # a zero in an envelope that is not all zero: max/min is infinite
+    lag_means = np.ones((200, 4))
+    lag_means[:, 3] = 2.0  # Psi - eta^2 is 0 at lags 2 and 4, 1 at lag 8
+    rep, rows = correlation_decay_check(lag_means, [2, 4, 8], lat, 0.5)
+    assert not rep.passed and rep.estimate == float("inf")
 
 
 def test_correlation_decay_lag_window():
@@ -428,13 +444,13 @@ assert main(["clt", "--config", %r, "--out", %r, "--workers", "1"]) in (0, 1)
 def test_constants_and_embedding_load_no_scipy():
     # the kernel constants are numpy formulas in every dimension
     assert _modules_after("""
-from riesz_she import Lattice, Region, RieszSpec, build_embedding, k_beta
+from riesz_she import Lattice, RieszSpec, build_embedding, k_beta
 from riesz_she.config import parse_config
 from riesz_she.runner import run_experiment
 build_embedding(Lattice(2, 32, 4.0), RieszSpec(2, 1.5))
 for d in (2, 3):
     for kind in ("ball", "box"):
-        k_beta(Region(kind, 1.0), RieszSpec(d, 1.5))
+        k_beta(kind, RieszSpec(d, 1.5))
 rs = run_experiment(parse_config(
     "kind = constants\\nd = 1\\nbeta = 0.5\\n[lattice]\\nn = 4\\nL = 1.0\\n"))
 assert rs.constants
