@@ -99,12 +99,11 @@ class FieldState:
 class BlockResult:
     """What simulate records for one block; row i is replica_ids[i]."""
 
-    def __init__(self, replica_ids, reduced=None, fields_at_times=None):
+    def __init__(self, replica_ids):
         # time -> the tuple of the reducers' (B, ...) arrays; fields_at_times
         # stays empty, perfbench reads it
         self.replica_ids = replica_ids
-        self.reduced = {} if reduced is None else reduced
-        self.fields_at_times = {} if fields_at_times is None else fields_at_times
+        self.reduced, self.fields_at_times = {}, {}
 
 
 def heat_multiplier(lattice, tau):
@@ -134,13 +133,15 @@ def step(state, noise, sigma, mult, spec=None):
     noise is the slice dW, an array shaped like the field. mult is
     heat_multiplier(lattice, state.dt). The kick u + sigma(u) dW goes
     through the complex half-spectrum spec (spectral_multiply). Raises on
-    blow-up, naming the first failing row of a block.
+    blow-up, naming the first failing row of a block; the overflow on the
+    way there is that error, not a numpy warning.
     """
     lat = state.field.lattice
     u = state.field.values
-    kick = sigma(u) * noise
-    kick += u
-    spectral_multiply(kick, mult, u, spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kick = sigma(u) * noise
+        kick += u
+        spectral_multiply(kick, mult, u, spec)
     state.step_index += 1
     if not np.isfinite(u).all():
         rows_ok = np.isfinite(u.reshape(-1, lat.n_cells)).all(axis=1)

@@ -51,14 +51,10 @@ class Region:
         return idx
 
 
-def collar(T):
-    """6*sqrt(T): how far the torus wrap-around reaches by time T."""
-    return 6.0 * np.sqrt(T)
-
-
 def check_margin(lattice, regions, T):
-    """Torus must leave a collar(T) outside every region."""
-    width = collar(T)
+    """Torus must leave a collar 6*sqrt(T), how far the wrap-around
+    reaches by time T, outside every region."""
+    width = 6.0 * np.sqrt(T)
     for reg in regions:
         if lattice.L < reg.radius - 1e-12 + width:
             raise ValueError("L=%g < R_max+6*sqrt(T)=%g"
@@ -135,26 +131,17 @@ def eta_sq_integrals(t_grid, eta):
             for i, s in enumerate(t.tolist())}
 
 
-def window_sigma_mean(block, sigma, window):
-    """Reducer: each field's mean of sigma(u) over window (flat cell
-    indices), for a (B, *grid) block; the C-order gather keeps each row's
-    mean the pairwise mean of that row alone (see region_average)."""
-    flat = block.reshape(len(block), -1)
-    return sigma(np.take(flat, window, axis=1)).mean(axis=1)
-
-
 def estimate_eta(means_by_time):
-    """eta(s): mean over replicas of window_sigma_mean, with its stderr.
-
-    means_by_time: {time: one window mean per replica}.
-    """
+    """(times, eta): eta(s), the mean over replicas of the torus mean of
+    sigma(u(s, .)), at each time of means_by_time, which maps a time to
+    one sigma_lag_means row per replica (the torus mean in column 0)."""
     times = sorted(means_by_time)
-    per_rep = np.array([means_by_time[t] for t in times], dtype=np.float64)
+    per_rep = np.array([means_by_time[t][:, 0] for t in times],
+                       dtype=np.float64)
     n = per_rep.shape[1]
     if n < 100:
         raise ValueError("need >= 100 replicas for eta, got %d" % n)
-    return (np.array(times), per_rep.mean(axis=1),
-            per_rep.std(axis=1, ddof=1) / np.sqrt(n))
+    return np.array(times), per_rep.mean(axis=1)
 
 
 def limit_covariance(times, limit):

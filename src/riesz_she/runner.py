@@ -19,9 +19,8 @@ from . import __version__
 from .engine import (DegenerateSigmaError, NonlinearitySpec, block_size,
                      mean_field, simulate)
 from .noise import build_embedding, sample_slice
-from .observables import (Region, collar, constants_rows, estimate_eta,
-                          eta_sq_integrals, k_beta, region_averages,
-                          window_sigma_mean)
+from .observables import (constants_rows, estimate_eta, eta_sq_integrals,
+                          k_beta, region_averages)
 from .stats import (StatsReport, correlation_decay_check,
                     covariance_diagnostic, functional_cov_check,
                     increment_moment_fit, increment_r_scaling, ks_distance,
@@ -37,14 +36,13 @@ EXIT_CONFIG = 4
 
 
 class ResultSet:
-    def __init__(self, config, reports=None, samples=None, constants=None,
-                 reduced=None, wall_seconds=0.0):
+    def __init__(self, config, reports=None, samples=None, reduced=None):
         self.config = config
         self.reports = [] if reports is None else reports
         self.samples = {} if samples is None else samples  # R -> {t -> array}
-        self.constants = [] if constants is None else constants
+        self.constants = []
         self.reduced = {} if reduced is None else reduced  # t -> (N, ...)
-        self.wall_seconds = wall_seconds
+        self.wall_seconds = 0.0
 
     @property
     def all_passed(self):
@@ -66,17 +64,17 @@ def _reducers(cfg):
     lat = cfg.lattice
     kind = ()
     if cfg.kind in ("variance-limit", "fclt") and not cfg.eta_exact:
-        # cells the torus wrap-around has not reached by time T
-        window = Region("box", lat.L - collar(cfg.T))
-        kind = (functools.partial(window_sigma_mean, sigma=cfg.sigma,
-                                  window=window.cells(lat)),)
+        # the torus mean of sigma(u), for eta; eta(0) is read off u0
+        kind = (functools.partial(sigma_lag_means, sigma=cfg.sigma,
+                                  lag_cells=()),)
     cells = [reg.cells(lat) for reg in cfg.regions]
     out = {}
     for t in cfg.record_times:
         mean = mean_field(cfg.init, t, lat).reshape(-1)
-        out[t] = (functools.partial(region_averages, cells=cells,
-                                    means=[mean[idx] for idx in cells],
-                                    cell_volume=lat.cell_volume),) + kind
+        g_r = functools.partial(region_averages, cells=cells,
+                                means=[mean[idx] for idx in cells],
+                                cell_volume=lat.cell_volume)
+        out[t] = (g_r,) + (kind if t > 0 else ())
     if cfg.kind == "decay":
         out[max(out)] += (functools.partial(
             sigma_lag_means, sigma=cfg.sigma, lag_cells=cfg.lag_cells),)
@@ -132,17 +130,15 @@ def _check_degenerate(cfg):
 
 def _limit_variances(cfg, rs):
     """{t: k * int_0^t eta^2} at 0 and each record time, the limit of
-    Var G_R(t) / R^{2d-beta}: eta exact where available, else estimated
-    from the window means."""
+    Var G_R(t) / R^{2d-beta}: eta exact where available, else eta(0) is
+    the torus mean of sigma(u0) and eta(t > 0) is estimated from the
+    replicas' torus means of sigma(u(t))."""
+    times = sorted({0.0, *cfg.record_times})
     if cfg.eta_exact:
-        times = sorted(set([0.0] + list(cfg.record_times)))
         eta = np.full(len(times), float(cfg.sigma(np.float64(cfg.init.value))))
     else:
-        times, eta, _ = estimate_eta(rs.reduced)
-        if 0.0 not in times:
-            eta0 = float(np.mean(cfg.sigma(cfg.init.field_on(cfg.lattice))))
-            times = np.concatenate([[0.0], times])
-            eta = np.concatenate([[eta0], eta])
+        eta0 = float(np.mean(cfg.sigma(cfg.init.field_on(cfg.lattice))))
+        eta = [eta0, *estimate_eta(rs.reduced)[1]]
     k = k_beta(cfg.region_kind, cfg.spec)
     return {t: k * v for t, v in eta_sq_integrals(times, eta).items()}
 

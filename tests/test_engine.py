@@ -8,7 +8,7 @@ from riesz_she import (InitialCondition, Lattice, NonlinearitySpec, RieszSpec,
                        mean_field, sample_slice, simulate)
 from riesz_she.engine import (FieldState, InstabilityError, heat_multiplier,
                               snap_to_grid, step)
-from riesz_she.observables import region_averages, window_sigma_mean
+from riesz_she.observables import region_averages
 from riesz_she.stats import sigma_lag_means
 from riesz_she.streams import stream_for
 
@@ -308,13 +308,12 @@ def test_step_blowup_names_block_row(small_setup):
     assert info.value.row == 1
 
 
-def _copy_and_reduce(block, sigma, lag_cells, window):
+def _copy_and_reduce(block, sigma, lag_cells):
     # each row: its flattened field, then what each pipeline reducer makes
-    # of it (1 + len(lag_cells) lag means, one window mean)
+    # of it (decay's 1 + len(lag_cells) lag means, eta's one torus mean)
     return np.concatenate([block.reshape(len(block), -1),
                            sigma_lag_means(block, sigma, lag_cells),
-                           window_sigma_mean(block, sigma, window)[:, None]],
-                          axis=1)
+                           sigma_lag_means(block, sigma, ())], axis=1)
 
 
 @pytest.mark.parametrize("d, n, L, n_ids", [(1, 64, 8.0, 5), (2, 64, 4.0, 10)],
@@ -329,8 +328,7 @@ def test_block_stepping_matches_one_id_blocks(d, n, L, n_ids):
     init = InitialCondition("constant", value=1.0)
     reducer = functools.partial(
         _copy_and_reduce, sigma=sigma,
-        lag_cells=[(2,) + (0,) * (d - 1), (3,) * d],
-        window=Region("box", 0.5).cells(lat))
+        lag_cells=[(2,) + (0,) * (d - 1), (3,) * d])
     times = [0.0, 0.004, 0.01]
     kwargs = dict(T=0.01, dt=0.002, seed=2**63 + 3, reducers=with_g_r(
         init, lat, [Region("ball", 1.0), Region("box", 0.5)], times, reducer))
@@ -350,7 +348,7 @@ def test_block_stepping_matches_one_id_blocks(d, n, L, n_ids):
             assert len(alone.reduced[t]) == 2
             assert averages[t].shape == (n_ids, 2)
             assert np.array_equal(averages[t][i], alone.reduced[t][0][0])
-            # the field, 3 lag means and the window mean
+            # the field, 3 lag means and the torus mean
             assert reduced[t].shape == (n_ids, lat.n_cells + 3 + 1)
             assert np.array_equal(reduced[t][i], alone.reduced[t][1][0])
 

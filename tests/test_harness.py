@@ -150,6 +150,11 @@ def test_kind_specific_validation():
         with pytest.raises(ConfigError, match="lags is empty"):
             parse_config(MINIMAL.replace("kind = clt", "kind = " + kind)
                          .replace("seed = 7", "seed = 7\nlags ="))
+    # parse_config refuses an unknown kind, so one is set after parsing
+    cfg = parse_config(MINIMAL)
+    cfg.kind = "wavelet"
+    with pytest.raises(ValueError, match="unknown kind 'wavelet'"):
+        run_experiment(cfg)
 
 
 CONSTANTS_CFG = """
@@ -311,6 +316,29 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("config error: cannot write %s" % cfgfile)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_blow_up_exits_3_with_one_line(workers, tmp_path, capsys):
+    # sigma = 1000 u overflows by step 110; the overflow is reported once,
+    # as the instability of the replica it happened in, and numpy's
+    # overflow warnings (errors here) stay silent
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(MINIMAL.replace("T = 0.04", "T = 200")
+                       .replace("dt = 0.01", "dt = 1")
+                       .replace("R_list = 0.5, 1, 2", "R_list = 8, 16, 32")
+                       .replace("n_replicas = 200", "n_replicas = 100")
+                       .replace("seed = 7", "seed = 3")
+                       .replace("n = 32", "n = 16")
+                       .replace("L = 4.0", "L = 128")
+                       + "\n[sigma]\nkind = affine\na = 1000\nb = 0\n")
+    assert cli_main(["clt", "--config", str(cfgfile),
+                     "--workers", workers]) == EXIT_INSTABILITY
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numerical instability: replica 20: blow-up/"
+                          "instability at step 110 (t=110)")
 
 
 @pytest.mark.parametrize("kind, text, extra", [
@@ -632,20 +660,16 @@ def _field_stacks(cfg):
 
 
 def test_reduced_eta_and_decay_match_stacked_fields():
-    # eta: sigma(u) over the interior window, per replica, then over replicas
+    # eta: sigma(u) over the torus, per replica, then over replicas
     cfg = parse_config(MINIMAL.replace("kind = clt", "kind = variance-limit")
                        .replace("n_replicas = 200", "n_replicas = 120")
                        .replace("seed = 7", "seed = 7\nrecord_times = "
                                 "0.02, 0.04") + SINE_AFFINE)
-    times, eta, _ = estimate_eta(run_experiment(cfg).reduced)
-    lat = cfg.lattice
-    window = np.ones(lat.shape, dtype=bool)
-    for g in lat.center_grids():
-        window &= np.abs(g) <= lat.L - 6.0 * np.sqrt(cfg.T)
+    times, eta = estimate_eta(run_experiment(cfg).reduced)
     stacks = _field_stacks(cfg)
     assert list(times) == cfg.record_times
     for t, e in zip(times, eta):
-        ref = cfg.sigma(stacks[t])[:, window].mean(axis=1).mean()
+        ref = cfg.sigma(stacks[t]).mean(axis=1).mean()
         assert e == pytest.approx(ref, rel=1e-12, abs=0)
     # decay: eta_hat and Psi_hat over positions and replicas, in d = 2
     cfg = parse_config(D2_DECAY + SINE_AFFINE)
@@ -796,22 +820,29 @@ def test_exact_eta_kinds_need_a_sample_covariance(kind, need, tmp_path,
                      "--replicas", str(need - 1)]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("kind, metric, sigma", [
+COSINE_START = ("\n[init]\nkind = cosine\noffset = 1.25\namplitude = 0.75\n"
+                "cycles = 2\n")
+
+
+@pytest.mark.parametrize("kind, metric, extra", [
     ("variance-limit", "normalized_variance", ""),
     ("fclt", "fclt_correlation", ""),
     ("variance-limit", "normalized_variance", SINE_AFFINE),
+    ("fclt", "fclt_correlation", COSINE_START),
 ], ids=["variance-limit-normalized_variance", "fclt-fclt_correlation",
-        "variance-limit-sine-affine"])
-def test_limit_constant_kinds_run_and_emit(kind, metric, sigma, tmp_path,
+        "variance-limit-sine-affine", "fclt-cosine-start"])
+def test_limit_constant_kinds_run_and_emit(kind, metric, extra, tmp_path,
                                            monkeypatch):
     # both kinds normalise by k * int_0^t eta^2, so they reach the runner's
-    # map of it end to end; a nonlinear sigma makes the runner estimate
-    # eta from one window mean per replica and time
+    # map of it end to end; a nonlinear sigma or a cosine start makes the
+    # runner estimate eta from one torus mean per replica and time
     from riesz_she import runner
     cfg = parse_config(MINIMAL.replace("kind = clt", "kind = " + kind)
                        .replace("seed = 7",
                                 "seed = 7\nrecord_times = 0.02, 0.04")
-                       + sigma)
+                       + extra)
+    estimated = bool(extra)
+    assert cfg.eta_exact != estimated
     real, blocks = runner.run_replicas, []
 
     def spy(*args, **kwargs):
@@ -826,13 +857,13 @@ def test_limit_constant_kinds_run_and_emit(kind, metric, sigma, tmp_path,
     monkeypatch.setattr(runner, "estimate_eta", eta_spy)
     rs = run_experiment(cfg)
     assert blocks and all(not blk.fields_at_times for blk in blocks)
-    # G_R, then one window mean per replica and record time where eta is
+    # G_R, then one torus mean per replica and record time where eta is
     # estimated
     assert all(g.shape == (len(blk.replica_ids), len(cfg.R_list))
                and [v.shape for v in kind]
-               == [(len(blk.replica_ids),)] * bool(sigma)
+               == [(len(blk.replica_ids), 1)] * estimated
                for blk in blocks for g, *kind in blk.reduced.values())
-    assert len(eta_calls) == bool(sigma)
+    assert len(eta_calls) == estimated
     reps = [r for r in rs.reports if r.metric == metric]
     assert reps and all(np.isfinite(r.estimate) and np.isfinite(r.target)
                         and r.target > 0 for r in reps)
@@ -841,6 +872,24 @@ def test_limit_constant_kinds_run_and_emit(kind, metric, sigma, tmp_path,
     assert [r["metric"] for r in payload["reports"]] == \
         [r.metric for r in rs.reports]
     assert metric in (tmp_path / "out" / "reports.csv").read_text()
+
+
+def test_estimated_eta_target_does_not_depend_on_record_time_zero():
+    # eta(0) is the torus mean of sigma(u0) whether or not 0 is a record
+    # time; record time 0 only adds G_R(0) = 0 to the samples
+    text = (MINIMAL.replace("kind = clt", "kind = variance-limit")
+            .replace("dt = 0.01", "dt = 0.002")
+            .replace("R_list = 0.5, 1, 2", "R_list = 0.5, 1")
+            .replace("seed = 7", "seed = 601\nrecord_times = %s")
+            .replace("n = 32", "n = 64")
+            + "\n[sigma]\nkind = sine-affine\na = 0.5\nb = 0.8\nc = 0.1\n"
+            + COSINE_START)
+    targets = []
+    for times in ("0.02, 0.04", "0, 0.02, 0.04"):
+        rs = run_experiment(parse_config(text % times))
+        targets.append([r.target for r in rs.reports
+                        if r.metric == "normalized_variance"])
+    assert len(targets[0]) == 2 and targets[0] == targets[1]
 
 
 def test_cli_tightness_writes_outputs(tmp_path):

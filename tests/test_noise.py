@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,9 @@ def test_cell_self_energy_d2_frozen_oracle():
 def test_cell_self_energy_bad_h():
     with pytest.raises(ValueError):
         cell_self_energy(0.0, RieszSpec(1, 0.5))
+    # RieszSpec refuses beta >= d, so a stand-in spec reaches the guard
+    with pytest.raises(ValueError, match="diverges for beta >= d"):
+        cell_self_energy(1.0, SimpleNamespace(d=1, beta=1.0))
 
 
 def test_embedding_row_d1_n4():

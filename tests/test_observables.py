@@ -1,4 +1,5 @@
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from riesz_she import (InitialCondition, Lattice, NonlinearitySpec, Region,
                        simulate)
 from riesz_she.noise import cube_pair_integral
 from riesz_she.observables import (ball_pair_integral, eta_sq_integrals,
-                                   region_averages, window_sigma_mean)
+                                   region_averages)
+from riesz_she.stats import sigma_lag_means
 
 K_BETA_HALF = 2 ** 2.5 / 0.75  # d=1, beta=0.5 ball: 7.54247...
 
@@ -76,6 +78,8 @@ def test_region_average_empty_region():
     with pytest.raises(ValueError, match="no cell centers"):
         average(const_field(lat, 1.0), Region("ball", 0.2),
                 const_field(lat, 0.0))
+    with pytest.raises(ValueError, match="must be ball or box, got 'cube'"):
+        Region("cube", 1.0)
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
@@ -97,22 +101,6 @@ def test_region_average_rows_do_not_depend_on_the_block():
                               for i in range(7)]
 
 
-@pytest.mark.parametrize("d, n, L", [(1, 64, 8.0), (2, 32, 4.0)],
-                         ids=["d1", "d2"])
-def test_window_sigma_mean_rows_do_not_depend_on_the_block(d, n, L):
-    # each row's mean is that of the row as a block of one, and that of
-    # the row's own window values
-    lat = Lattice(d, n, L)
-    window = Region("box", L / 4).cells(lat)
-    sigma = NonlinearitySpec("sine-affine", a=0.5, b=0.8, c=0.1)
-    block = np.random.default_rng(5).standard_normal((7,) + lat.shape)
-    means = window_sigma_mean(block, sigma, window)
-    assert means.shape == (7,)
-    for i in range(7):
-        assert means[i] == window_sigma_mean(block[i:i + 1], sigma, window)[0]
-        assert means[i] == sigma(block[i].reshape(-1)[window]).mean()
-
-
 def test_region_box_mask_d2():
     lat = Lattice(2, 64, 4.0)
     ball = Region("ball", 1.0).mask(lat).sum()
@@ -126,6 +114,9 @@ def test_k_beta_closed_form():
         val = k_beta(kind, RieszSpec(1, 0.5))
         assert val == pytest.approx(K_BETA_HALF, rel=1e-12)
         assert val == pytest.approx(7.54247, abs=1e-5)
+    # RieszSpec refuses beta >= d, so a stand-in spec reaches the guard
+    with pytest.raises(ValueError, match="k diverges for beta >= d"):
+        k_beta("ball", SimpleNamespace(d=2, beta=2.0))
 
 
 @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
@@ -219,7 +210,9 @@ def test_eta_sq_integral_uneven_trapezoid():
 
 
 @pytest.fixture(scope="module")
-def window_mean_run():
+def torus_mean_run():
+    # the runner's eta reducer: sigma_lag_means with no lags, whose one
+    # column is each field's torus mean of sigma(u)
     lat = Lattice(1, 64, 8.0)
     spec = RieszSpec(1, 0.5)
     cov = build_embedding(lat, spec)
@@ -227,35 +220,34 @@ def window_mean_run():
     sigma = NonlinearitySpec("linear")
     T, dt = 0.1, 0.0125
     times = [0.0, 0.05, 0.1]
-    window = Region("box", lat.L - 6 * np.sqrt(T)).cells(lat)
-    reducer = functools.partial(window_sigma_mean, sigma=sigma, window=window)
+    reducer = functools.partial(sigma_lag_means, sigma=sigma, lag_cells=())
     blocks = simulate(cov, sigma, init, T, dt, seed=31, replica_ids=range(150),
                       reducers={t: (reducer,) for t in times})
-    means = {t: np.concatenate([blk.reduced[t][0] for blk in blocks])
-             for t in times}
-    return lat, window, means
+    return {t: np.concatenate([blk.reduced[t][0] for blk in blocks])
+            for t in times}
 
 
-def test_estimate_eta_linear(window_mean_run):
-    _, _, means = window_mean_run
-    times, eta, se = estimate_eta(means)
+def test_estimate_eta_linear(torus_mean_run):
+    times, eta = estimate_eta(torus_mean_run)
+    assert list(times) == [0.0, 0.05, 0.1]
     assert eta[0] == 1.0  # deterministic start: eta(0) = sigma(1) exactly
-    for e, s in zip(eta[1:], se[1:]):
-        assert abs(e - 1.0) < 3 * s + 1e-12
+    for t, e in zip(times[1:], eta[1:]):
+        per_rep = torus_mean_run[t][:, 0]
+        se = per_rep.std(ddof=1) / np.sqrt(len(per_rep))
+        assert e == per_rep.mean()
+        assert abs(e - 1.0) < 3 * se + 1e-12
 
 
-def test_estimate_eta_degenerate(window_mean_run):
-    lat, window, means = window_mean_run
+def test_estimate_eta_degenerate(torus_mean_run):
     deg = NonlinearitySpec("affine", a=1.0, b=-1.0)
-    zero, = window_sigma_mean(np.ones((1,) + lat.shape), deg, window)
-    times, eta, se = estimate_eta({t: np.full(len(v), zero)
-                                   for t, v in means.items()})
+    zero = sigma_lag_means(np.ones((1, 64)), deg, ())
+    times, eta = estimate_eta({t: np.repeat(zero, len(v), axis=0)
+                               for t, v in torus_mean_run.items()})
     assert np.all(eta == 0.0)
 
 
-def test_estimate_eta_needs_replicas(window_mean_run):
-    _, _, means = window_mean_run
-    small = {t: v[:50] for t, v in means.items()}
+def test_estimate_eta_needs_replicas(torus_mean_run):
+    small = {t: v[:50] for t, v in torus_mean_run.items()}
     with pytest.raises(ValueError, match="100 replicas"):
         estimate_eta(small)
 

@@ -108,6 +108,8 @@ def test_linfit_same_floats_as_linregress():
         y = rng.normal(0.4 * x, rng.uniform(0.0, 0.3))
         res = linregress(x, y)
         assert _linfit(x, y) == (res.slope, res.intercept, res.stderr)
+    with pytest.raises(ValueError, match="all x values are identical"):
+        _linfit([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
 
 def test_rate_fit_exact_and_floor():
@@ -170,6 +172,9 @@ def test_increment_moment_fit_errors():
         increment_moment_fit(samples, [(0.0, t) for t in (0.1, 0.2, 0.3, 0.4)])
     with pytest.raises(ValueError, match="p must be"):
         increment_moment_fit(samples, [(0.0, 0.1)], p=3)
+    with pytest.raises(ValueError, match="need >= 4 usable increment gaps, "
+                                         "got 3"):
+        increment_moment_fit(samples, [(0.0, t) for t in (0.1, 0.2, 0.3)])
 
 
 def test_increment_r_scaling_ratio():
@@ -210,6 +215,10 @@ def test_functional_cov_check_detects_mismatch():
     samples[0.2] = samples[0.1]
     with pytest.raises(ValueError, match="singular empirical covariance"):
         functional_cov_check(samples, times, R=1.0, limit=LIMIT_HALF, d=1,
+                             beta=0.5)
+    # one time: no covariance between times to compare
+    with pytest.raises(ValueError, match="need at least two times"):
+        functional_cov_check(samples, [0.1], R=1.0, limit=LIMIT_HALF, d=1,
                              beta=0.5)
 
 
