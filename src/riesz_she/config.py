@@ -27,6 +27,16 @@ MIN_REPLICAS = {"noise-validate": 100, "clt": 100, "decay": 100,
                 "variance-limit": 100, "fclt": 100}
 
 
+# The keys parse_config reads, per section ("" is the top level); any other
+# is a config error. store_fields is retired and ignored.
+KEYS = {"": {"kind", "d", "beta", "T", "dt", "record_times", "R_list",
+             "region_kind", "n_replicas", "seed", "lags", "y_list",
+             "p_moment", "store_fields"},
+        "lattice": {"n", "L"},
+        "sigma": {"kind", "a", "b", "c"},
+        "init": {"kind", "value", "offset", "amplitude", "cycles"}}
+
+
 class ConfigError(Exception):
     pass
 
@@ -40,13 +50,20 @@ def _parse_sections(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
+            if current not in KEYS:
+                raise ConfigError("line %d: unknown section [%s] (choose "
+                                  "from %s)" % (lineno, current, ", ".join(
+                                      "[%s]" % k for k in KEYS if k)))
             sections.setdefault(current, {})
             continue
         if "=" not in line:
             raise ConfigError("line %d: expected key = value, got %r"
                               % (lineno, raw.strip()))
-        key, val = line.split("=", 1)
-        sections[current][key.strip()] = val.strip()
+        key, val = (v.strip() for v in line.split("=", 1))
+        if key not in KEYS[current]:
+            raise ConfigError("line %d: unknown key %r in %s" % (
+                lineno, key, "[%s]" % current if current else "the top level"))
+        sections[current][key] = val
     return sections
 
 

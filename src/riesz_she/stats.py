@@ -7,7 +7,6 @@ one-sided because the theoretical rate is an upper bound.
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -186,7 +185,7 @@ def ks_floor(n_replicas):
 
 
 def rate_fit(pairs, n_replicas):
-    """Slope of log KS distance vs log R, gated by the statistical floor.
+    """Slope of log KS vs log R over the pairs above the statistical floor.
 
     The limit theorem only upper-bounds the distance, so callers should
     treat the result as diagnostic: acceptance is slope <= 0, not equality
@@ -195,12 +194,7 @@ def rate_fit(pairs, n_replicas):
     floor = ks_floor(n_replicas)
     usable, excluded = [], []
     for R, dist in pairs:
-        if dist <= floor:
-            excluded.append((R, dist))
-            warnings.warn("KS at R=%g is at the statistical floor %.4g; "
-                          "excluded from rate fit" % (R, floor))
-        else:
-            usable.append((R, dist))
+        (excluded if dist <= floor else usable).append((R, dist))
     if len(usable) < 2:
         raise ValueError("fewer than 2 points above the statistical floor")
     Rs = np.array([p[0] for p in usable])
@@ -251,19 +245,24 @@ def functional_cov_check(samples_by_time, times, R, limit, d, beta):
     return reports
 
 
+def _increment_moment(A, s, t, p):
+    """E|G(t) - G(s)|^p over the replicas, A the map of time to G."""
+    return float(np.mean(np.abs(np.asarray(A[t]) - np.asarray(A[s])) ** p))
+
+
 def increment_moment_fit(samples_by_time, time_pairs, p=2):
-    """Log-log slope of E|G(t) - G(s)|^p against t - s (one-sided check)."""
+    """Log-log slope of E|G(t) - G(s)|^p against t - s (one-sided check);
+    the note names each pair left out for a moment below 1e-300."""
     if p not in (2, 4):
         raise ValueError("p must be 2 or 4")
-    gaps, moments = [], []
+    gaps, moments, excluded = [], [], []
     for s, t in time_pairs:
         if t == s:
             continue
-        inc = np.asarray(samples_by_time[t]) - np.asarray(samples_by_time[s])
-        m = float(np.mean(np.abs(inc) ** p))
+        m = _increment_moment(samples_by_time, s, t, p)
         if m < 1e-300:
-            warnings.warn("increment (%g, %g) below noise floor; excluded"
-                          % (s, t))
+            excluded.append("(%g, %g) below the 1e-300 floor, excluded"
+                            % (s, t))
             continue
         gaps.append(t - s)
         moments.append(m)
@@ -279,7 +278,7 @@ def increment_moment_fit(samples_by_time, time_pairs, p=2):
         params={"p": p},
         estimate=float(slope), target=target, tolerance=float("inf"),
         passed=slope >= target, stderr=float(stderr),
-        note="one-sided: slope >= %.3g" % target)
+        note="; ".join(["one-sided: slope >= %.3g" % target] + excluded))
 
 
 def increment_r_scaling(samples_lo, samples_hi, time_pair, p=2):
@@ -288,11 +287,8 @@ def increment_r_scaling(samples_lo, samples_hi, time_pair, p=2):
     The caller compares it with (R_hi/R_lo)^{p(d-beta/2)}.
     """
     s, t = time_pair
-    inc_lo = np.asarray(samples_lo[t]) - np.asarray(samples_lo[s])
-    inc_hi = np.asarray(samples_hi[t]) - np.asarray(samples_hi[s])
-    m_lo = float(np.mean(np.abs(inc_lo) ** p))
-    m_hi = float(np.mean(np.abs(inc_hi) ** p))
-    return m_hi / m_lo
+    return (_increment_moment(samples_hi, s, t, p)
+            / _increment_moment(samples_lo, s, t, p))
 
 
 def lag_distances(lag_cells, lattice):
@@ -453,8 +449,9 @@ def lemma31_check(spec, y):
     By scaling, the ratio E|y + sqrt(s) Z|^{-beta} |y|^beta at s = |y|^2 g
     is the smoothed kernel at |y| = 1 and s = g, whatever y is. So the s grid
     is |y|^2 * logspace(-3, 3, 61), and its ratios are those of the unit
-    problem on the g grid. Reports the max ratio over the grid, its
-    stability under grid refinement, and the small-s limit (which must be 1).
+    problem on the g grid: the even entries of the kernel on the grid
+    refined by the geometric midpoints. Reports the max ratio over the grid,
+    its stability under refinement, and the small-s limit (which must be 1).
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if not 0 < np.linalg.norm(y) < np.inf:
@@ -462,8 +459,8 @@ def lemma31_check(spec, y):
     g_grid = np.logspace(-3, 3, 61)
     fine = np.sort(np.concatenate(
         [g_grid, np.sqrt(g_grid[:-1] * g_grid[1:])]))
-    r = _gaussian_smoothed_kernel(1.0, g_grid, spec.beta, spec.d)
     r_fine = _gaussian_smoothed_kernel(1.0, fine, spec.beta, spec.d)
+    r = r_fine[::2]
     max_ratio = float(r.max())
     max_fine = float(r_fine.max())
     rel_change = abs(max_fine - max_ratio) / max_ratio

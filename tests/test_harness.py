@@ -111,6 +111,32 @@ def test_store_fields_line_is_ignored():
     assert old.config_hash() == cfg.config_hash()
 
 
+@pytest.mark.parametrize("text, match", [
+    (MINIMAL.replace("n_replicas = 200", "n_replica = 4000"),
+     r"line 8: unknown key 'n_replica' in the top level"),
+    (MINIMAL.replace("n = 32", "n = 32\nN = 1024"),
+     r"line 13: unknown key 'N' in \[lattice\]"),
+    (MINIMAL + "[sigma]\nkind = affine\nalpha = 0.3\n",
+     r"line 16: unknown key 'alpha' in \[sigma\]"),
+    (MINIMAL + "[init]\nkind = cosine\noffset = 0.1\namplitude = 0.5\n"
+     "cycle = 3\n", r"line 18: unknown key 'cycle' in \[init\]"),
+    (MINIMAL.replace("[lattice]", "[lattices]"),
+     r"line 11: unknown section \[lattices\]"),
+], ids=["top", "lattice", "sigma", "init", "section"])
+def test_unknown_key_or_section_is_a_config_error(text, match, tmp_path,
+                                                  capsys):
+    # a misspelled key or section would otherwise run with the defaults it
+    # meant to set
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(text)
+    assert cli_main(["clt", "--config", str(cfgfile)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert re.search(match, err)
+
+
 def test_kind_specific_validation():
     with pytest.raises(ConfigError, match="two record times"):
         parse_config(MINIMAL.replace("kind = clt", "kind = fclt"))

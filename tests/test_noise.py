@@ -268,6 +268,24 @@ def test_isotropy_d2():
     assert abs(c1 - c2) < 4 * np.hypot(s1, s2)
 
 
+@pytest.mark.parametrize("d, n, beta", [(1, 16, 0.5), (2, 8, 0.5),
+                                         (3, 4, 1.0)])
+def test_sampler_is_the_symmetric_root_of_the_circulant(d, n, beta):
+    # the sampler is linear in w: the unit vectors give its matrix A, whose
+    # square must be the circulant dt * ifftn(eigenvalues) exactly, at lag
+    # i - j mod n (d = 3, beta = 0.5 fails the clamp at n = 4)
+    lat = Lattice(d=d, n=n, L=4.0)
+    cov = build_embedding(lat, RieszSpec(d, beta))
+    dt, N = 0.01, lat.n_cells
+    A = sample_slice(cov, dt, np.eye(N).reshape((N,) + lat.shape))
+    A = A.reshape(N, N)
+    idx = np.indices(lat.shape).reshape(d, N)
+    lag = (idx[:, :, None] - idx[:, None, :]) % n
+    target = dt * np.fft.ifftn(cov.eigenvalues).real[tuple(lag)]
+    assert np.abs(A - A.T).max() <= 1e-15
+    assert np.abs(A @ A.T - target).max() <= 1e-15
+
+
 def test_sample_slice_rejects_bad_dt(slices_1d):
     lat, spec, cov, dt, _ = slices_1d
     with pytest.raises(ValueError):

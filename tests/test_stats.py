@@ -119,8 +119,7 @@ def test_rate_fit_exact_and_floor():
     assert excluded == []
     # one point below the floor 1.63/sqrt(4000) = 0.0258 gets excluded
     pairs_floored = pairs[:2] + [(16.0, 0.01)]
-    with pytest.warns(UserWarning, match="statistical floor"):
-        slope2, se2, excluded2 = rate_fit(pairs_floored, n_replicas=4000)
+    slope2, se2, excluded2 = rate_fit(pairs_floored, n_replicas=4000)
     assert excluded2 == [(16.0, 0.01)]
     # two points go through _linfit like any other fit, and leave no
     # residual, so the slope has no stderr
@@ -157,12 +156,15 @@ def test_increment_moment_fit_brownian():
     assert rep2.passed and rep2.estimate == pytest.approx(1.0, abs=0.05)
     rep4 = increment_moment_fit(samples, pairs, p=4)
     assert rep4.passed and rep4.estimate == pytest.approx(2.0, abs=0.1)
-    # a t = s pair and an increment below the 1e-300 floor are skipped
+    assert rep2.note == "one-sided: slope >= 0.8"
+    # a t = s pair and an increment below the 1e-300 floor are skipped, and
+    # the note names the second
     samples[0.5] = samples[times[-1]]
-    with pytest.warns(UserWarning, match=r"\(0.16, 0.5\) below noise floor"):
-        rep = increment_moment_fit(samples, [(0.0, 0.0)] + pairs
-                                   + [(times[-1], 0.5)], p=2)
+    rep = increment_moment_fit(samples, [(0.0, 0.0)] + pairs
+                               + [(times[-1], 0.5)], p=2)
     assert (rep.estimate, rep.stderr) == (rep2.estimate, rep2.stderr)
+    assert rep.note == ("one-sided: slope >= 0.8; (0.16, 0.5) below the "
+                        "1e-300 floor, excluded")
 
 
 def test_increment_moment_fit_errors():
