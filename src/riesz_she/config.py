@@ -2,8 +2,10 @@
 
 Top-level keys describe the experiment; [lattice], [sigma] and [init]
 sections describe the discretization, the nonlinearity and the initial
-condition. Lists are comma separated. Defaults: dt = h^2/4 (diffusive
-stability margin), record_times = [T], ball regions at the origin.
+condition. Lists are comma separated. Defaults: dt = h^2/4 snapped down
+to divide T (a time resolution, not a stability bound: the exponential-Euler
+step applies the heat flow exactly), record_times = [T], ball regions at
+the origin.
 """
 
 import hashlib
@@ -27,56 +29,42 @@ MIN_REPLICAS = {"noise-validate": 100, "clt": 100, "decay": 100,
                 "variance-limit": 100, "fclt": 100}
 
 
-# The keys parse_config reads, per section ("" is the top level); any other
-# is a config error. store_fields is retired and ignored.
-KEYS = {"": {"kind", "d", "beta", "T", "dt", "record_times", "R_list",
-             "region_kind", "n_replicas", "seed", "lags", "y_list",
-             "p_moment", "store_fields"},
-        "lattice": {"n", "L"},
-        "sigma": {"kind", "a", "b", "c"},
-        "init": {"kind", "value", "offset", "amplitude", "cycles"}}
-
-
 class ConfigError(Exception):
     pass
 
 
 def _parse_sections(text):
-    sections = {"": {}}
+    """{section: {key: text}} for every section of KEYS. A key or a section
+    header given twice is an error that names both lines."""
+    sections = {name: {} for name in KEYS}
+    first = {}  # (section, key) -> line number; key None for a header
     current = ""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
+            current, key = line[1:-1].strip(), None
             if current not in KEYS:
                 raise ConfigError("line %d: unknown section [%s] (choose "
                                   "from %s)" % (lineno, current, ", ".join(
                                       "[%s]" % k for k in KEYS if k)))
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError("line %d: expected key = value, got %r"
-                              % (lineno, raw.strip()))
-        key, val = (v.strip() for v in line.split("=", 1))
-        if key not in KEYS[current]:
-            raise ConfigError("line %d: unknown key %r in %s" % (
-                lineno, key, "[%s]" % current if current else "the top level"))
-        sections[current][key] = val
+            what = "section [%s]" % current
+        else:
+            if "=" not in line:
+                raise ConfigError("line %d: expected key = value, got %r"
+                                  % (lineno, raw.strip()))
+            key, val = (v.strip() for v in line.split("=", 1))
+            what = "key %r in %s" % (
+                key, "[%s]" % current if current else "the top level")
+            if key not in KEYS[current]:
+                raise ConfigError("line %d: unknown %s" % (lineno, what))
+            sections[current][key] = val
+        if (current, key) in first:
+            raise ConfigError("line %d: repeated %s (first on line %d)"
+                              % (lineno, what, first[current, key]))
+        first[current, key] = lineno
     return sections
-
-
-def _get(sec, key, conv, default=None, required=False):
-    if key not in sec:
-        if required:
-            raise ConfigError("missing required key %r" % (key,))
-        return default
-    try:
-        return conv(sec[key])
-    except Exception as exc:
-        raise ConfigError("key %r: cannot parse %r (%s)"
-                          % (key, sec[key], exc))
 
 
 def _finite(s):
@@ -92,6 +80,52 @@ def _float_list(s):
 
 def _int_list(s):
     return [int(v) for v in s.split(",") if v.strip() != ""]
+
+
+_REQUIRED = object()
+
+# Every key parse_config reads, per section ("" is the top level), with its
+# converter and default, in canonical_text order; any other key is a config
+# error. A default is the text the key reads as when it is not given; None
+# means unset, to be worked out in parse_config. store_fields is retired and
+# ignored.
+KEYS = {"": {"kind": (str, _REQUIRED), "d": (int, _REQUIRED),
+             "beta": (float, _REQUIRED), "T": (_finite, "0"),
+             "dt": (_finite, None), "record_times": (_float_list, None),
+             "R_list": (_float_list, ""), "region_kind": (str, "ball"),
+             "n_replicas": (int, "100"), "seed": (int, "0"),
+             "p_moment": (int, "2"), "lags": (_int_list, None),
+             "y_list": (_float_list, None), "store_fields": (str, None)},
+        "lattice": {"n": (int, _REQUIRED), "L": (_finite, _REQUIRED)},
+        "sigma": {"kind": (str, "linear"), "a": (_finite, "1"),
+                  "b": (_finite, "0"), "c": (_finite, "0")},
+        "init": {"kind": (str, "constant"), "value": (_finite, "1"),
+                 "offset": (_finite, None), "amplitude": (_finite, None),
+                 "cycles": (int, "1")}}
+
+
+def _read(given, section):
+    """{key: value} for every key of KEYS[section], from its text in given
+    or its default, through its converter."""
+    values = {}
+    for key, (conv, default) in KEYS[section].items():
+        text = given.get(key, default)
+        if text is _REQUIRED:
+            raise ConfigError("missing required key %r" % (key,))
+        try:
+            values[key] = None if text is None else conv(text)
+        except Exception as exc:
+            raise ConfigError("key %r: cannot parse %r (%s)"
+                              % (key, text, exc))
+    return values
+
+
+def _text(conv, value):
+    """value written the way conv reads it back."""
+    fmt = {int: "%d", _int_list: "%d", str: "%s"}.get(conv, "%.17g")
+    if isinstance(value, list):
+        return ", ".join(fmt % v for v in value)
+    return fmt % value
 
 
 class ExperimentConfig:
@@ -131,27 +165,12 @@ class ExperimentConfig:
         return [Region(kind=self.region_kind, radius=R) for R in self.R_list]
 
     def canonical_text(self):
-        lines = [
-            "kind = %s" % self.kind,
-            "d = %d" % self.spec.d,
-            "beta = %.17g" % self.spec.beta,
-            "T = %.17g" % self.T,
-            "dt = %.17g" % self.dt,
-            "record_times = %s" % ", ".join("%.17g" % t
-                                            for t in self.record_times),
-            "R_list = %s" % ", ".join("%.17g" % r for r in self.R_list),
-            "region_kind = %s" % self.region_kind,
-            "n_replicas = %d" % self.n_replicas,
-            "seed = %d" % self.seed,
-            "p_moment = %d" % self.p_moment,
-        ]
-        if self.lags is not None:
-            lines.append("lags = %s" % ", ".join(str(v) for v in self.lags))
-        if self.y_list is not None:
-            lines.append("y_list = %s" % ", ".join("%.17g" % v
-                                                   for v in self.y_list))
-        lines += ["", "[lattice]",
-                  "n = %d" % self.lattice.n,
+        # unset keys (None) and the retired store_fields are not written
+        values = {**vars(self), "d": self.spec.d, "beta": self.spec.beta}
+        lines = ["%s = %s" % (key, _text(conv, values[key]))
+                 for key, (conv, _) in KEYS[""].items()
+                 if values.get(key) is not None]
+        lines += ["", "[lattice]", "n = %d" % self.lattice.n,
                   "L = %.17g" % self.lattice.L]
         lines += ["", "[sigma]", "kind = %s" % self.sigma.kind]
         if self.sigma.kind in ("affine", "sine-affine"):
@@ -172,67 +191,42 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
-def _build_init(sec):
-    kind = sec.get("kind", "constant")
-    if kind == "constant":
-        return InitialCondition(kind="constant",
-                                value=_get(sec, "value", _finite, default=1.0))
-    if kind == "cosine":
-        return InitialCondition(
-            kind="cosine",
-            offset=_get(sec, "offset", _finite, required=True),
-            amplitude=_get(sec, "amplitude", _finite, required=True),
-            cycles=_get(sec, "cycles", int, default=1))
-    raise ConfigError("unknown init kind %r (constant or cosine)" % (kind,))
-
-
 def parse_config(text, overrides=None):
     """ExperimentConfig from config text. overrides ({key: text}) replace
     top-level keys before any value is converted or checked."""
     sections = _parse_sections(text)
-    top = {**sections[""], **(overrides or {})}
-    lat_sec = sections.get("lattice", {})
-    sig_sec = sections.get("sigma", {})
-    init_sec = sections.get("init", {})
-
-    kind = _get(top, "kind", str, required=True)
-    d = _get(top, "d", int, required=True)
-    beta = _get(top, "beta", float, required=True)
-    n = _get(lat_sec, "n", int, required=True)
-    L = _get(lat_sec, "L", _finite, required=True)
+    top = _read({**sections[""], **(overrides or {})}, "")
+    del top["store_fields"]
+    start = _read(sections["init"], "init")
     try:
-        spec = RieszSpec(d=d, beta=beta)
-        lattice = Lattice(d=d, n=n, L=L)
-        sigma = NonlinearitySpec(
-            kind=sig_sec.get("kind", "linear"),
-            a=_get(sig_sec, "a", _finite, default=1.0),
-            b=_get(sig_sec, "b", _finite, default=0.0),
-            c=_get(sig_sec, "c", _finite, default=0.0))
-        init = _build_init(init_sec)
+        spec = RieszSpec(d=top.pop("d"), beta=top.pop("beta"))
+        lattice = Lattice(d=spec.d, **_read(sections["lattice"], "lattice"))
+        sigma = NonlinearitySpec(**_read(sections["sigma"], "sigma"))
+        if start["kind"] == "constant":
+            init = InitialCondition("constant", value=start["value"])
+        elif start["kind"] == "cosine":
+            for key in ("offset", "amplitude"):
+                if start[key] is None:
+                    raise ConfigError("missing required key %r" % (key,))
+            init = InitialCondition("cosine", offset=start["offset"],
+                                    amplitude=start["amplitude"],
+                                    cycles=start["cycles"])
+        else:
+            raise ConfigError("unknown init kind %r (constant or cosine)"
+                              % (start["kind"],))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    T = _get(top, "T", _finite, default=0.0)
-    dt_default = lattice.h ** 2 / 4.0
-    if T > 0:
-        # snap the default down so T is a whole number of steps
-        dt_default = T / int(np.ceil(T / dt_default - 1e-9))
-    dt = _get(top, "dt", _finite, default=dt_default)
-    record_times = _get(top, "record_times", _float_list,
-                        default=[T] if T > 0 else [])
-    R_list = _get(top, "R_list", _float_list, default=[])
-    region_kind = _get(top, "region_kind", str, default="ball")
-    n_replicas = _get(top, "n_replicas", int, default=100)
-    seed = _get(top, "seed", int, default=0)
-    lags = _get(top, "lags", _int_list, default=None)
-    y_list = _get(top, "y_list", _float_list, default=None)
-    p_moment = _get(top, "p_moment", int, default=2)
-
-    cfg = ExperimentConfig(
-        kind=kind, spec=spec, lattice=lattice, sigma=sigma, init=init,
-        T=T, dt=dt, record_times=record_times, R_list=R_list,
-        region_kind=region_kind, n_replicas=n_replicas, seed=seed,
-        lags=lags, y_list=y_list, p_moment=p_moment)
+    T = top["T"]
+    if top["dt"] is None:
+        top["dt"] = lattice.h ** 2 / 4.0
+        if T > 0:
+            # snap the default down so T is a whole number of steps
+            top["dt"] = T / int(np.ceil(T / top["dt"] - 1e-9))
+    if top["record_times"] is None:
+        top["record_times"] = [T] if T > 0 else []
+    cfg = ExperimentConfig(spec=spec, lattice=lattice, sigma=sigma,
+                           init=init, **top)
     _validate(cfg)
     return cfg
 

@@ -122,12 +122,9 @@ def eta_sq_integrals(t_grid, eta):
     an increasing grid from 0 at which eta holds eta(t)."""
     t = np.asarray(t_grid, dtype=np.float64)
     y = np.asarray(eta, dtype=np.float64) ** 2
-    # numpy's own trapezoid arithmetic, written out: np.trapz is gone
-    # in numpy 2.4 and np.trapezoid is missing before numpy 2.0. Each
-    # prefix is reduced alone, as np.trapezoid reduces it; np.cumsum's
-    # running sums would round differently
-    areas = np.diff(t) * (y[1:] + y[:-1]) / 2.0
-    return {s: float(np.add.reduce(areas[:i]))
+    # each prefix integrated alone: np.cumsum's running sums would round
+    # differently
+    return {s: float(np.trapezoid(y[:i + 1], t[:i + 1]))
             for i, s in enumerate(t.tolist())}
 
 

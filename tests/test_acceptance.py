@@ -2,8 +2,8 @@
 
 Reference configuration: d=1, beta=0.5, sigma(x)=x, u0 = 1, t=0.25,
 n=512, L=20 (h=0.078125), N=4000 replicas, fixed seed. dt = 0.05/33 is
-the largest step below the diffusive margin h^2/4 that divides every
-record time (h^2/4 itself does not divide 0.25).
+the largest step at most h^2/4, the scale of the config's default step,
+that divides every record time (h^2/4 itself does not divide 0.25).
 
 Each test prints one CRITERION line. Criteria that the underlying model
 genuinely cannot meet at these tolerances fail red by design; see the

@@ -7,7 +7,8 @@ import pytest
 from riesz_she import (DegenerateSigmaError, InstabilityError,
                        build_embedding, simulate)
 from riesz_she.cli import main as cli_main
-from riesz_she.config import ConfigError, load_config, parse_config
+from riesz_she.config import (KEYS, ConfigError, load_config,
+                               parse_config)
 from riesz_she.observables import estimate_eta
 from riesz_she.runner import (EXIT_CONFIG, EXIT_DEGENERATE,
                               EXIT_INSTABILITY, EXIT_PASS, EXIT_STAT_FAIL,
@@ -122,11 +123,21 @@ def test_store_fields_line_is_ignored():
      "cycle = 3\n", r"line 18: unknown key 'cycle' in \[init\]"),
     (MINIMAL.replace("[lattice]", "[lattices]"),
      r"line 11: unknown section \[lattices\]"),
-], ids=["top", "lattice", "sigma", "init", "section"])
+    (MINIMAL.replace("seed = 7", "seed = 1\nseed = 2"),
+     r"line 10: repeated key 'seed' in the top level \(first on line 9\)"),
+    (MINIMAL.replace("n = 32", "n = 8\nn = 16"),
+     r"line 13: repeated key 'n' in \[lattice\] \(first on line 12\)"),
+    (MINIMAL.replace("n = 32\nL = 4.0", "n = 8\n[sigma]\nkind = affine\n"
+                     "[lattice]\nn = 16\nL = 4.0"),
+     r"line 15: repeated section \[lattice\] \(first on line 11\)"),
+    (MINIMAL + "[sigma]\nkind = affine\n[sigma]\nkind = clipped-linear\n",
+     r"line 16: repeated section \[sigma\] \(first on line 14\)"),
+], ids=["top", "lattice", "sigma", "init", "section", "repeated-top",
+        "repeated-lattice", "reopened-lattice", "repeated-section"])
 def test_unknown_key_or_section_is_a_config_error(text, match, tmp_path,
                                                   capsys):
     # a misspelled key or section would otherwise run with the defaults it
-    # meant to set
+    # meant to set, and a repeated one would silently keep its last value
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
     cfgfile = tmp_path / "c.cfg"
@@ -135,6 +146,55 @@ def test_unknown_key_or_section_is_a_config_error(text, match, tmp_path,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: ")
     assert re.search(match, err)
+
+
+# a valid value other than the base config's for each key; the base reads
+# every key: a sine-affine sigma, and a cosine start except for value
+NEW_VALUES = {("", "kind"): "constants", ("", "d"): "2", ("", "beta"): "0.7",
+              ("", "T"): "0.08", ("", "dt"): "0.005",
+              ("", "record_times"): "0.02, 0.04",
+              ("", "R_list"): "0.5, 1, 1.5", ("", "region_kind"): "box",
+              ("", "n_replicas"): "300", ("", "seed"): "8",
+              ("", "p_moment"): "4", ("", "lags"): "1, 2",
+              ("", "y_list"): "0.5", ("lattice", "n"): "64",
+              ("lattice", "L"): "5", ("sigma", "kind"): "affine",
+              ("sigma", "a"): "0.3", ("sigma", "b"): "0.7",
+              ("sigma", "c"): "0.1", ("init", "kind"): "constant",
+              ("init", "value"): "2.5", ("init", "offset"): "1.25",
+              ("init", "amplitude"): "0.75", ("init", "cycles"): "2"}
+
+
+def _key_value(cfg, section, key):
+    owner = {"": cfg.spec if key in ("d", "beta") else cfg,
+             "lattice": cfg.lattice, "sigma": cfg.sigma,
+             "init": cfg.init}[section]
+    return getattr(owner, key)
+
+
+@pytest.mark.parametrize("section, key", [
+    pytest.param(section, key, id="%s.%s" % (section or "top", key))
+    for section in KEYS for key in KEYS[section] if key != "store_fields"])
+def test_every_key_reaches_the_hash(section, key):
+    # two configs that differ in one key must not share a config_hash
+    sections = {"": {"kind": "clt", "d": "1", "beta": "0.5", "T": "0.04",
+                     "dt": "0.01", "R_list": "0.5, 1, 2",
+                     "n_replicas": "200", "seed": "7"},
+                "lattice": {"n": "32", "L": "4.0"},
+                "sigma": {"kind": "sine-affine"},
+                "init": {"kind": "constant"} if key == "value" else
+                {"kind": "cosine", "offset": "0.1", "amplitude": "0.7"}}
+
+    def text():
+        return "".join(("[%s]\n" % name if name else "") + "".join(
+            "%s = %s\n" % item for item in keys.items())
+            for name, keys in sections.items())
+    base = parse_config(text())
+    sections[section][key] = NEW_VALUES[section, key]
+    cfg = parse_config(text())
+    assert _key_value(cfg, section, key) != _key_value(base, section, key)
+    again = parse_config(cfg.canonical_text())
+    assert _key_value(again, section, key) == _key_value(cfg, section, key)
+    assert again.config_hash() == cfg.config_hash() != base.config_hash()
 
 
 def test_kind_specific_validation():

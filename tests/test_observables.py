@@ -198,15 +198,14 @@ def test_eta_sq_integral_uneven_trapezoid():
     assert list(integrals) == tg
     for t, expected in hand.items():
         assert integrals[t] == pytest.approx(expected, rel=1e-14)
-    if hasattr(np, "trapezoid"):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            tg = np.concatenate([[0.0], np.sort(rng.random(9))])
-            eta = rng.standard_normal(len(tg))
-            integrals = eta_sq_integrals(tg, eta)
-            for i, t in enumerate(tg):
-                assert integrals[t] == float(np.trapezoid(
-                    eta[: i + 1] ** 2, tg[: i + 1]))
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        tg = np.concatenate([[0.0], np.sort(rng.random(9))])
+        eta = rng.standard_normal(len(tg))
+        integrals = eta_sq_integrals(tg, eta)
+        for i, t in enumerate(tg):
+            assert integrals[t] == float(np.trapezoid(
+                eta[: i + 1] ** 2, tg[: i + 1]))
 
 
 @pytest.fixture(scope="module")
