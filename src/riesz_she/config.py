@@ -12,7 +12,8 @@ import hashlib
 
 import numpy as np
 
-from .engine import InitialCondition, NonlinearitySpec, time_grid
+from .engine import (INIT_KINDS, SIGMA_KINDS, InitialCondition,
+                     NonlinearitySpec, time_grid)
 from .noise import Lattice, RieszSpec
 from .observables import Region, check_margin
 from .stats import lag_distances
@@ -45,7 +46,7 @@ def _parse_sections(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             current, key = line[1:-1].strip(), None
-            if current not in KEYS:
+            if not current or current not in KEYS:
                 raise ConfigError("line %d: unknown section [%s] (choose "
                                   "from %s)" % (lineno, current, ", ".join(
                                       "[%s]" % k for k in KEYS if k)))
@@ -129,15 +130,11 @@ def _text(conv, value):
 
 
 class ExperimentConfig:
-    def __init__(self, kind, spec, lattice, sigma, init, T, dt, record_times,
-                 R_list, region_kind, n_replicas, seed, lags=None,
-                 y_list=None, p_moment=2):
-        self.kind, self.spec, self.lattice = kind, spec, lattice
-        self.sigma, self.init, self.T, self.dt = sigma, init, T, dt
-        self.record_times, self.R_list = record_times, R_list
-        self.region_kind, self.n_replicas, self.seed = (
-            region_kind, n_replicas, seed)
-        self.lags, self.y_list, self.p_moment = lags, y_list, p_moment
+    def __init__(self, spec, lattice, sigma, init, **top):
+        """top: each value of KEYS[""] but d, beta and store_fields."""
+        self.spec, self.lattice, self.sigma, self.init = (
+            spec, lattice, sigma, init)
+        vars(self).update(top)
 
     @property
     def eta_exact(self):
@@ -165,27 +162,23 @@ class ExperimentConfig:
         return [Region(kind=self.region_kind, radius=R) for R in self.R_list]
 
     def canonical_text(self):
-        # unset keys (None) and the retired store_fields are not written
-        values = {**vars(self), "d": self.spec.d, "beta": self.spec.beta}
-        lines = ["%s = %s" % (key, _text(conv, values[key]))
-                 for key, (conv, _) in KEYS[""].items()
-                 if values.get(key) is not None]
-        lines += ["", "[lattice]", "n = %d" % self.lattice.n,
-                  "L = %.17g" % self.lattice.L]
-        lines += ["", "[sigma]", "kind = %s" % self.sigma.kind]
-        if self.sigma.kind in ("affine", "sine-affine"):
-            lines += ["a = %.17g" % self.sigma.a, "b = %.17g" % self.sigma.b]
-        if self.sigma.kind == "sine-affine":
-            lines.append("c = %.17g" % self.sigma.c)
-        lines += ["", "[init]"]
-        if self.init.kind == "constant":
-            lines += ["kind = constant", "value = %.17g" % self.init.value]
-        else:
-            lines += ["kind = cosine",
-                      "offset = %.17g" % self.init.offset,
-                      "amplitude = %.17g" % self.init.amplitude,
-                      "cycles = %d" % self.init.cycles]
-        return "\n".join(lines) + "\n"
+        """The sections of KEYS, each key in its order, without unset keys
+        (None), the retired store_fields and the sigma and init keys that
+        their kind does not read."""
+        values = {"": {**vars(self), "d": self.spec.d, "beta": self.spec.beta},
+                  "lattice": vars(self.lattice), "sigma": vars(self.sigma),
+                  "init": vars(self.init)}
+        reads = {"sigma": ("kind",) + SIGMA_KINDS[self.sigma.kind],
+                 "init": ("kind",) + INIT_KINDS[self.init.kind]}
+        blocks = []
+        for section, keys in KEYS.items():
+            lines = ["[%s]" % section] if section else []
+            lines += ["%s = %s" % (key, _text(conv, values[section][key]))
+                      for key, (conv, _) in keys.items()
+                      if values[section].get(key) is not None
+                      and key in reads.get(section, keys)]
+            blocks.append("\n".join(lines))
+        return "\n\n".join(blocks) + "\n"
 
     def config_hash(self):
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
@@ -202,18 +195,15 @@ def parse_config(text, overrides=None):
         spec = RieszSpec(d=top.pop("d"), beta=top.pop("beta"))
         lattice = Lattice(d=spec.d, **_read(sections["lattice"], "lattice"))
         sigma = NonlinearitySpec(**_read(sections["sigma"], "sigma"))
-        if start["kind"] == "constant":
-            init = InitialCondition("constant", value=start["value"])
-        elif start["kind"] == "cosine":
-            for key in ("offset", "amplitude"):
-                if start[key] is None:
-                    raise ConfigError("missing required key %r" % (key,))
-            init = InitialCondition("cosine", offset=start["offset"],
-                                    amplitude=start["amplitude"],
-                                    cycles=start["cycles"])
-        else:
-            raise ConfigError("unknown init kind %r (constant or cosine)"
-                              % (start["kind"],))
+        if start["kind"] not in INIT_KINDS:
+            raise ConfigError("unknown init kind %r (%s)" % (
+                start["kind"], " or ".join(INIT_KINDS)))
+        reads = INIT_KINDS[start["kind"]]
+        for key in reads:
+            if start[key] is None:
+                raise ConfigError("missing required key %r" % (key,))
+        init = InitialCondition(start["kind"],
+                                **{key: start[key] for key in reads})
     except ValueError as exc:
         raise ConfigError(str(exc))
 

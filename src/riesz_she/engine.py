@@ -25,7 +25,11 @@ class DegenerateSigmaError(Exception):
     stays at its mean, or a sample's variance is 0."""
 
 
-_SIGMA_KINDS = ("linear", "affine", "sine-affine", "clipped-linear")
+# each sigma and initial-condition kind, and the parameters it reads
+SIGMA_KINDS = {"linear": (), "affine": ("a", "b"),
+               "sine-affine": ("a", "b", "c"), "clipped-linear": ()}
+INIT_KINDS = {"constant": ("value",),
+              "cosine": ("offset", "amplitude", "cycles")}
 
 
 class NonlinearitySpec:
@@ -36,9 +40,9 @@ class NonlinearitySpec:
     """
 
     def __init__(self, kind, a=1.0, b=0.0, c=0.0):
-        if kind not in _SIGMA_KINDS:
+        if kind not in SIGMA_KINDS:
             raise ValueError("unknown sigma kind %r (choose from %s)"
-                             % (kind, ", ".join(_SIGMA_KINDS)))
+                             % (kind, ", ".join(SIGMA_KINDS)))
         self.kind, self.a, self.b, self.c = kind, a, b, c
 
     def __repr__(self):
@@ -63,7 +67,7 @@ class InitialCondition:
     offset + amplitude * cos(cycles * pi * x_0 / L) along the first axis."""
 
     def __init__(self, kind, value=1.0, offset=0.0, amplitude=0.0, cycles=1):
-        if kind not in ("constant", "cosine"):
+        if kind not in INIT_KINDS:
             raise ValueError("unknown initial-condition kind %r" % (kind,))
         if not np.isfinite([value, offset, amplitude]).all():
             raise ValueError("initial-condition value, offset and amplitude "

@@ -132,8 +132,10 @@ def test_store_fields_line_is_ignored():
      r"line 15: repeated section \[lattice\] \(first on line 11\)"),
     (MINIMAL + "[sigma]\nkind = affine\n[sigma]\nkind = clipped-linear\n",
      r"line 16: repeated section \[sigma\] \(first on line 14\)"),
+    (MINIMAL + "[]\nregion_kind = box\n", r"line 14: unknown section \[\]"),
 ], ids=["top", "lattice", "sigma", "init", "section", "repeated-top",
-        "repeated-lattice", "reopened-lattice", "repeated-section"])
+        "repeated-lattice", "reopened-lattice", "repeated-section",
+        "empty-section"])
 def test_unknown_key_or_section_is_a_config_error(text, match, tmp_path,
                                                   capsys):
     # a misspelled key or section would otherwise run with the defaults it
@@ -195,6 +197,145 @@ def test_every_key_reaches_the_hash(section, key):
     again = parse_config(cfg.canonical_text())
     assert _key_value(again, section, key) == _key_value(cfg, section, key)
     assert again.config_hash() == cfg.config_hash() != base.config_hash()
+
+
+# the canonical text and config_hash of three configs, frozen: a change to
+# how any key is written changes the hash of every run made before it
+EVERY_KEY = MINIMAL.replace("seed = 7", """seed = 7
+record_times = 0.02, 0.04
+region_kind = box
+p_moment = 4
+lags = 1, 2
+y_list = 0.5
+store_fields = true""") + """
+[sigma]
+kind = sine-affine
+a = 0.3
+b = 0.7
+c = 0.1
+
+[init]
+kind = cosine
+value = 2.5
+offset = 0.1
+amplitude = 0.7
+cycles = 3
+"""
+AFFINE_CONSTANT = MINIMAL + """
+[sigma]
+kind = affine
+a = 0.3
+b = -0.1
+
+[init]
+kind = constant
+value = 2.5
+"""
+PINNED = {
+    "minimal": (MINIMAL, """kind = clt
+d = 1
+beta = 0.5
+T = 0.040000000000000001
+dt = 0.01
+record_times = 0.040000000000000001
+R_list = 0.5, 1, 2
+region_kind = ball
+n_replicas = 200
+seed = 7
+p_moment = 2
+
+[lattice]
+n = 32
+L = 4
+
+[sigma]
+kind = linear
+
+[init]
+kind = constant
+value = 1
+""", "e26ccd1276904b3b22b4160f37bc742310f6dac8ed78633f51289522cebe6336"),
+    "every-key": (EVERY_KEY, """kind = clt
+d = 1
+beta = 0.5
+T = 0.040000000000000001
+dt = 0.01
+record_times = 0.02, 0.040000000000000001
+R_list = 0.5, 1, 2
+region_kind = box
+n_replicas = 200
+seed = 7
+p_moment = 4
+lags = 1, 2
+y_list = 0.5
+
+[lattice]
+n = 32
+L = 4
+
+[sigma]
+kind = sine-affine
+a = 0.29999999999999999
+b = 0.69999999999999996
+c = 0.10000000000000001
+
+[init]
+kind = cosine
+offset = 0.10000000000000001
+amplitude = 0.69999999999999996
+cycles = 3
+""", "6a30dc9d36a7711bfd1062e16e9a5a2c9bdce5a2bece11616282a19f40490f60"),
+    "affine-constant": (AFFINE_CONSTANT, """kind = clt
+d = 1
+beta = 0.5
+T = 0.040000000000000001
+dt = 0.01
+record_times = 0.040000000000000001
+R_list = 0.5, 1, 2
+region_kind = ball
+n_replicas = 200
+seed = 7
+p_moment = 2
+
+[lattice]
+n = 32
+L = 4
+
+[sigma]
+kind = affine
+a = 0.29999999999999999
+b = -0.10000000000000001
+
+[init]
+kind = constant
+value = 2.5
+""", "4688fad8ea82997a26315b851ed090012f4235755035c77a49ecf4361123e40d")}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_canonical_text_and_hash_are_pinned(name):
+    text, canonical, digest = PINNED[name]
+    cfg = parse_config(text)
+    assert cfg.canonical_text() == canonical
+    assert cfg.config_hash() == digest
+
+
+@pytest.mark.parametrize("section, kind, key", [
+    ("sigma", "linear", "a"), ("sigma", "linear", "b"),
+    ("sigma", "linear", "c"), ("sigma", "affine", "c"),
+    ("sigma", "clipped-linear", "a"), ("init", "constant", "offset"),
+    ("init", "constant", "amplitude"), ("init", "constant", "cycles"),
+    ("init", "cosine", "value")])
+def test_unread_sigma_and_init_keys_stay_out_of_the_hash(section, kind, key):
+    # a sigma or init key that the kind does not read leaves the experiment
+    # as it is, so it must leave its config_hash as it is too
+    base = MINIMAL + "[%s]\nkind = %s\n" % (section, kind)
+    if kind == "cosine":
+        base += "offset = 0.1\namplitude = 0.7\n"
+    line = "%s = %s\n" % (key, NEW_VALUES[section, key])
+    assert parse_config(base + line).config_hash() == \
+        parse_config(base).config_hash()
+
 
 
 def test_kind_specific_validation():
