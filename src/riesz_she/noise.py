@@ -143,9 +143,9 @@ class SpectralCovariance:
     half-spectrum; sampling scales it by sqrt(dt).
     """
 
-    def __init__(self, lattice, spec, row, eigenvalues, sqrt_eig_half,
+    def __init__(self, lattice, row, eigenvalues, sqrt_eig_half,
                  clamped_mass):
-        self.lattice, self.spec, self.row = lattice, spec, row
+        self.lattice, self.row = lattice, row
         self.eigenvalues, self.sqrt_eig_half = eigenvalues, sqrt_eig_half
         self.clamped_mass = clamped_mass
 
@@ -169,9 +169,8 @@ def build_embedding(lattice, spec):
             "(clamped mass %.3g >= %.3g)" % (clamped_mass, CLAMP_BUDGET))
     lam = np.where(neg, 0.0, lam)
     half = np.sqrt(lam[..., : lattice.n // 2 + 1])
-    return SpectralCovariance(lattice=lattice, spec=spec, row=row,
-                              eigenvalues=lam, sqrt_eig_half=half,
-                              clamped_mass=clamped_mass)
+    return SpectralCovariance(lattice=lattice, row=row, eigenvalues=lam,
+                              sqrt_eig_half=half, clamped_mass=clamped_mass)
 
 
 def spectral_multiply(values, factor, out=None, spec=None):

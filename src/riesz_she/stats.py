@@ -454,7 +454,7 @@ def lemma31_check(spec, y):
     its stability under refinement, and the small-s limit (which must be 1).
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if not 0 < np.linalg.norm(y) < np.inf:
+    if not (np.isfinite(y).all() and y.any()):
         raise ValueError("y must be nonzero and finite, got %r" % (y,))
     g_grid = np.logspace(-3, 3, 61)
     fine = np.sort(np.concatenate(

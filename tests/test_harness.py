@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from riesz_she import (DegenerateSigmaError, InstabilityError,
-                       build_embedding, simulate)
+                       __version__, build_embedding, simulate)
 from riesz_she.cli import main as cli_main
 from riesz_she.config import (KEYS, ConfigError, load_config,
                                parse_config)
@@ -733,6 +733,21 @@ def test_lemma31_y_without_a_length_is_a_config_error(y_list, tmp_path):
     assert cli_main(["lemma31", "--config", str(cfgfile)]) == EXIT_CONFIG
 
 
+def test_lemma31_runs_for_tiny_and_huge_y(tmp_path, capsys):
+    # |y| of 1e-300 and 1e300 has no finite nonzero Euclidean norm in
+    # float64, but the ratio does not depend on |y|
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(MINIMAL.replace("seed = 7",
+                                       "seed = 7\ny_list = 1, 1e-300, 1e300"))
+    assert cli_main(["lemma31", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "out")]) == EXIT_PASS
+    assert capsys.readouterr().err == ""
+    reports = json.loads((tmp_path / "out" / "reports.json").read_text())
+    assert [r["metric"] for r in reports["reports"]] == \
+        ["lemma31_max_ratio"] * 3
+    assert len({r["estimate"] for r in reports["reports"]}) == 1
+
+
 def test_unclampable_embedding_is_a_config_error(tmp_path, capsys):
     # d = 3, beta = 0.2 on 8 cells per axis clamps 1.04% of the spectrum
     cfgfile = tmp_path / "c.cfg"
@@ -1151,3 +1166,99 @@ def test_empty_resultset_emits_headers(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "nope.cfg")
+
+
+# the canonical text of CONSTANTS_CFG hashes to this
+CONSTANTS_HASH = \
+    "65d0f8edea57e728eab981bfa61befde967a39b37b2af69381b07c9373e4f294"
+GOLDEN_FILES = {
+    "samples.csv": "replica_id,R,t,G_R\r\n"
+                   "0,0.5,0.25,1.5\r\n1,0.5,0.25,2\r\n2,0.5,0.25,-1\r\n"
+                   "0,0.5,0.5,-0\r\n1,0.5,0.5,3\r\n"
+                   "2,0.5,0.5,0.33333333333333331\r\n"
+                   "0,2,0.5,0.10000000000000001\r\n1,2,0.5,-2.5e-300\r\n"
+                   "2,2,0.5,1e+17\r\n",
+    "reports.csv": "metric,params,estimate,stderr,target,tolerance,pass\r\n"
+                   "ks_distance,R=2.0;t=0.5,0.10000000000000001,,0,inf,false"
+                   "\r\n"
+                   'lemma31_max_ratio,"d=2;y=(1e-300, 0.0)",'
+                   "0.33333333333333331,2.4999999999999999e-17,"
+                   "1.3742609175239446,0.02,true\r\n",
+    "reports.json": """{
+  "config_hash": "<hash>",
+  "distance_note": "Kolmogorov distance stands in for total variation; \
+both obey the same rate bound.",
+  "n_replicas": 100,
+  "reports": [
+    {
+      "estimate": 0.1,
+      "metric": "ks_distance",
+      "note": "",
+      "params": "R=2.0;t=0.5",
+      "pass": false,
+      "stderr": "",
+      "target": 0.0,
+      "tolerance": Infinity
+    },
+    {
+      "estimate": 0.3333333333333333,
+      "metric": "lemma31_max_ratio",
+      "note": "small-s ratio 1.000000",
+      "params": "d=2;y=(1e-300, 0.0)",
+      "pass": true,
+      "stderr": 2.5e-17,
+      "target": 1.3742609175239446,
+      "tolerance": 0.02
+    }
+  ],
+  "seed": 0
+}
+""",
+    "constants.csv": "name,d,beta,region_kind,value,stderr,method\r\n"
+                     "k_beta,1,0.5,ball,7.5424723326565069,0,closed-form\r\n",
+    "manifest.json": """{
+  "config": "kind = constants\\nd = 1\\nbeta = 0.5\\nT = 0\\ndt = 0.0625\\n\
+record_times = \\nR_list = \\nregion_kind = ball\\nn_replicas = 100\\n\
+seed = 0\\np_moment = 2\\n\\n[lattice]\\nn = 4\\nL = 1\\n\\n[sigma]\\n\
+kind = linear\\n\\n[init]\\nkind = constant\\nvalue = 1\\n",
+  "config_hash": "<hash>",
+  "files": [
+    "samples.csv",
+    "reports.csv",
+    "reports.json",
+    "constants.csv"
+  ],
+  "seed": 0,
+  "versions": {
+    "numpy": "<numpy>",
+    "riesz_she": "<riesz_she>"
+  }
+}
+""",
+}
+
+
+def test_emitted_files_are_pinned(tmp_path):
+    # a hand-built ResultSet, so no byte depends on the FFT or the machine
+    cfg = parse_config(CONSTANTS_CFG)
+    rs = ResultSet(config=cfg, samples={
+        2.0: {0.5: np.array([0.1, -2.5e-300, 1e17])},
+        0.5: {0.5: np.array([-0.0, 3.0, 1 / 3]),
+              0.25: np.array([1.5, 2.0, -1.0])}})
+    rs.reports = [
+        StatsReport(metric="ks_distance", params={"t": 0.5, "R": 2.0},
+                    estimate=0.1, target=0.0, tolerance=float("inf"),
+                    passed=False),
+        StatsReport(metric="lemma31_max_ratio",
+                    params={"y": (1e-300, 0.0), "d": 2}, estimate=1 / 3,
+                    target=1.3742609175239446, tolerance=0.02, passed=True,
+                    stderr=2.5e-17, note="small-s ratio 1.000000")]
+    rs.constants = [("k_beta", 1, 0.5, "ball", 7.542472332656507, 0.0,
+                     "closed-form")]
+    written = emit_results(rs, tmp_path)
+    assert written == [str(tmp_path / name) for name in GOLDEN_FILES]
+    for name, text in GOLDEN_FILES.items():
+        text = (text.replace("<hash>", CONSTANTS_HASH)
+                .replace("<numpy>", np.__version__)
+                .replace("<riesz_she>", __version__))
+        assert (tmp_path / name).read_bytes() == text.encode(), name
