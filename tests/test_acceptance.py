@@ -281,9 +281,7 @@ def test_criterion_11_bounded_start_comparison(clipped_run):
         "observed KS %.4f" % ks16
 
 
-def test_criterion_12_determinism(tmp_path):
-    cfgfile = tmp_path / "det.cfg"
-    cfgfile.write_text("""
+DET_CFG = """
 kind = clt
 d = 1
 beta = 0.5
@@ -296,20 +294,42 @@ seed = 7
 [lattice]
 n = 64
 L = 4.0
-""")
+"""
+RESULT_FILES = ["samples.csv", "reports.csv", "reports.json",
+                "constants.csv", "manifest.json"]
+
+
+def _fresh_clt_runs(tmp_path, extra_args):
+    """Run DET_CFG through one fresh ``python -m riesz_she.cli clt --out``
+    process per entry of extra_args; return whether all result files are
+    byte-identical across the runs."""
+    cfgfile = tmp_path / "det.cfg"
+    cfgfile.write_text(DET_CFG)
     outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
+    for i, extra in enumerate(extra_args):
+        out = tmp_path / ("run%d" % i)
         proc = subprocess.run(
             [sys.executable, "-m", "riesz_she.cli", "clt",
-             "--config", str(cfgfile), "--out", str(out)],
+             "--config", str(cfgfile), "--out", str(out)] + extra,
             capture_output=True)
         assert proc.returncode in (0, 1), proc.stderr.decode()
         outs.append(out)
-    names = ["samples.csv", "reports.csv", "reports.json",
-             "constants.csv", "manifest.json"]
-    same = all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
-               for n in names)
+    return all((outs[0] / n).read_bytes() == (out / n).read_bytes()
+               for out in outs[1:] for n in RESULT_FILES)
+
+
+def test_criterion_12_determinism(tmp_path):
+    same = _fresh_clt_runs(tmp_path, ([], []))
     report(12, "determinism", same,
-           "two fresh processes, %d files byte-identical" % len(names))
+           "two fresh processes, %d files byte-identical" % len(RESULT_FILES))
     assert same
+
+
+def test_criterion_12_worker_count_through_the_cli(tmp_path):
+    # the pool path under the command-line entry point, which forks its
+    # workers after freezing the collector, writes the same bytes. 1024
+    # replicas are two blocks at n = 64, so two workers fork a pool
+    from riesz_she.engine import block_size
+    assert block_size(parse_config(DET_CFG).lattice) == 512
+    assert _fresh_clt_runs(tmp_path, [["--workers", w, "--replicas", "1024"]
+                                      for w in ("1", "2")])

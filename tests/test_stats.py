@@ -411,18 +411,23 @@ L = 4.0
 """
 
 
+def _last_line_after(code):
+    """The last line that code prints when run in a fresh interpreter."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]  # after anything code prints
+
+
 def _modules_after(code, packages=("scipy",)):
     """The loaded modules under the top-level packages, after running code
     in a fresh interpreter, as the printed sorted list."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] in %r))"
-         % (tuple(packages),)],
-        capture_output=True, text=True, env=env, cwd=root)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-1]  # after anything code prints
+    return _last_line_after(
+        code + "\nimport sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in %r))"
+        % (tuple(packages),))
 
 
 def test_cli_import_loads_no_scipy():
@@ -450,6 +455,23 @@ from riesz_she.cli import main
 assert main(["clt", "--config", %r, "--out", %r, "--workers", "1"]) in (0, 1)
 """ % (str(cfg), str(tmp_path / "out")), pool) == "[]"
     assert (tmp_path / "out" / "samples.csv").exists()
+
+
+def test_cli_main_freezes_what_the_import_left_alive(tmp_path):
+    # main is a process entry point: everything alive when it is called
+    # moves to the permanent generation, so exit collects none of it
+    cfg = tmp_path / "constants.cfg"
+    cfg.write_text("kind = constants\nd = 1\nbeta = 0.5\n"
+                   "[lattice]\nn = 4\nL = 1.0\n")
+    frozen, alive = map(int, _last_line_after("""
+import gc
+import riesz_she.cli
+gc.collect()  # no cyclic garbage left for a collection before main to free
+alive = len(gc.get_objects())
+assert riesz_she.cli.main(["constants", "--config", %r]) == 0
+print(gc.get_freeze_count(), alive)
+""" % str(cfg)).split())
+    assert frozen >= alive > 0
 
 
 def test_constants_and_embedding_load_no_scipy():
