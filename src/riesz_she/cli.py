@@ -4,10 +4,10 @@ import argparse
 import gc
 import sys
 
-from .config import KINDS, ConfigError, load_config
+from .config import ConfigError, load_config
 from .engine import DegenerateSigmaError, InstabilityError
 from .noise import EmbeddingError
-from .runner import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_INSTABILITY,
+from .runner import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_INSTABILITY, KINDS,
                      emit_results, run_experiment)
 
 
@@ -16,7 +16,7 @@ def build_parser():
         prog="riesz-she",
         description="Monte Carlo experiments for spatial averages of the "
                     "stochastic heat equation with Riesz-correlated noise.")
-    p.add_argument("kind", choices=KINDS,
+    p.add_argument("kind", choices=list(KINDS),
                    help="experiment to run (overrides kind in the config)")
     p.add_argument("--config", required=True, help="config file path")
     p.add_argument("--out", default=None, help="output directory")

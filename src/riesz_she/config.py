@@ -14,20 +14,10 @@ import numpy as np
 
 from .engine import (INIT_KINDS, SIGMA_KINDS, InitialCondition,
                      NonlinearitySpec, time_grid)
-from .noise import Lattice, RieszSpec
+from .noise import QUADRATURE_MAX_D, Lattice, RieszSpec
 from .observables import Region, check_margin
+from .runner import KINDS
 from .stats import lag_distances
-
-KINDS = ("noise-validate", "variance-limit", "clt", "fclt", "tightness",
-         "decay", "lemma31", "constants")
-
-# Fewest replicas each kind's statistics accept: the KS distance, the decay
-# check, the noise covariance diagnostic and the eta estimate all need 100.
-# variance-limit and fclt estimate eta only when it is not exact; with an
-# exact eta they still need a sample variance (2 replicas) and a full-rank
-# covariance over the record times (one replica more than there are times).
-MIN_REPLICAS = {"noise-validate": 100, "clt": 100, "decay": 100,
-                "variance-limit": 100, "fclt": 100}
 
 
 class ConfigError(Exception):
@@ -225,6 +215,7 @@ def _validate(cfg):
     if cfg.kind not in KINDS:
         raise ConfigError("unknown experiment kind %r (choose from %s)"
                           % (cfg.kind, ", ".join(KINDS)))
+    _, steps, min_radii, need = KINDS[cfg.kind]
     if cfg.T < 0:
         raise ConfigError("T must be nonnegative, got %g" % cfg.T)
     if cfg.dt <= 0:
@@ -232,15 +223,19 @@ def _validate(cfg):
     if cfg.region_kind not in ("ball", "box"):
         raise ConfigError("region_kind must be ball or box, got %r"
                           % (cfg.region_kind,))
+    # the noise embedding and box constants integrate over the unit cell
+    if cfg.spec.d > QUADRATURE_MAX_D and (steps or cfg.kind == "noise-validate"
+            or (cfg.kind, cfg.region_kind) == ("constants", "box")):
+        raise ConfigError("d must be at most %d for kind %r, whose cell "
+                          "quadrature would not fit in memory; got d = %d"
+                          % (QUADRATURE_MAX_D, cfg.kind, cfg.spec.d))
     # stream keys hold the seed in 64 bits; wider seeds would alias
     if not 0 <= cfg.seed < 2**64:
         raise ConfigError("seed must lie in [0, 2**64), got %d" % cfg.seed)
     if cfg.kind in ("noise-validate", "decay") and cfg.lags == []:
         raise ConfigError("lags is empty; kind %r needs at least one lag"
                           % (cfg.kind,))
-    needs_sim = cfg.kind in ("variance-limit", "clt", "fclt", "tightness",
-                             "decay")
-    if needs_sim:
+    if steps:
         if cfg.T <= 0:
             raise ConfigError("T must be positive for kind %r" % (cfg.kind,))
         if not cfg.R_list:
@@ -272,11 +267,9 @@ def _validate(cfg):
     if len(set(cfg.R_list)) < len(cfg.R_list):
         raise ConfigError("R_list repeats a radius: %s"
                           % ", ".join("%g" % R for R in cfg.R_list))
-    if cfg.kind == "clt" and len(cfg.R_list) < 3:
-        raise ConfigError("clt needs >= 3 R_list values for its scaling fit")
-    if cfg.kind == "variance-limit" and len(cfg.R_list) < 2:
-        raise ConfigError("variance-limit needs >= 2 R_list values to "
-                          "compare their errors")
+    if len(cfg.R_list) < min_radii:
+        raise ConfigError("%s needs >= %d R_list values, got %d"
+                          % (cfg.kind, min_radii, len(cfg.R_list)))
     if cfg.kind == "fclt" and len(cfg.record_times) < 2:
         raise ConfigError("fclt needs at least two record times")
     if cfg.kind == "tightness":
@@ -292,7 +285,8 @@ def _validate(cfg):
     if cfg.kind == "lemma31" and not (
             cfg.y_list and all(0 < abs(y) < np.inf for y in cfg.y_list)):
         raise ConfigError("lemma31 needs y_list of nonzero finite values")
-    need = MIN_REPLICAS.get(cfg.kind, 1)
+    # an exact eta is not estimated: variance-limit then needs a sample
+    # variance, fclt a full-rank covariance over its record times
     if cfg.kind in ("variance-limit", "fclt") and cfg.eta_exact:
         need = 2 if cfg.kind == "variance-limit" else len(cfg.record_times) + 1
     if cfg.n_replicas < need:

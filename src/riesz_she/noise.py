@@ -89,6 +89,8 @@ class SpatialField:
 # Gauss-Legendre nodes per axis of cube_pair_integral; doubling them moves
 # d = 2 and 3 by less than 1e-13
 _NODES = 24
+# largest d for cube_pair_integral: d = 6 peaks at 1.6 GB, d = 7 needs 9+ GB
+QUADRATURE_MAX_D = 6
 
 
 def cube_pair_integral(d, beta):

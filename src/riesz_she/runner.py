@@ -305,23 +305,25 @@ def _run_constants(cfg, workers):
     return rs
 
 
-_PIPELINES = {
-    "noise-validate": _run_noise_validate,
-    "variance-limit": _run_variance_limit,
-    "clt": _run_clt,
-    "fclt": _run_fclt,
-    "tightness": _run_tightness,
-    "decay": _run_decay,
-    "lemma31": _run_lemma31,
-    "constants": _run_constants,
+# kind: (pipeline, whether it steps the equation, fewest R_list radii: clt
+# fits a slope through 3, variance-limit compares 2; fewest replicas).
+KINDS = {
+    "noise-validate": (_run_noise_validate, False, 0, 100),
+    "variance-limit": (_run_variance_limit, True, 2, 100),
+    "clt": (_run_clt, True, 3, 100),
+    "fclt": (_run_fclt, True, 0, 100),
+    "tightness": (_run_tightness, True, 0, 1),
+    "decay": (_run_decay, True, 0, 100),
+    "lemma31": (_run_lemma31, False, 0, 1),
+    "constants": (_run_constants, False, 0, 1),
 }
 
 
 def run_experiment(cfg, workers=1):
-    if cfg.kind not in _PIPELINES:
+    if cfg.kind not in KINDS:
         raise ValueError("unknown kind %r" % (cfg.kind,))
     t0 = _time.monotonic()
-    rs = _PIPELINES[cfg.kind](cfg, workers)
+    rs = KINDS[cfg.kind][0](cfg, workers)
     rs.wall_seconds = _time.monotonic() - t0
     return rs
 

@@ -6,13 +6,13 @@ import pytest
 
 from riesz_she import (DegenerateSigmaError, InstabilityError,
                        __version__, build_embedding, simulate)
-from riesz_she.cli import main as cli_main
+from riesz_she.cli import build_parser, main as cli_main
 from riesz_she.config import (KEYS, ConfigError, load_config,
                                parse_config)
 from riesz_she.observables import estimate_eta
 from riesz_she.runner import (EXIT_CONFIG, EXIT_DEGENERATE,
                               EXIT_INSTABILITY, EXIT_PASS, EXIT_STAT_FAIL,
-                              ResultSet, emit_results, run_experiment)
+                              KINDS, ResultSet, emit_results, run_experiment)
 from riesz_she.stats import StatsReport, correlation_decay_check
 
 MINIMAL = """
@@ -1060,6 +1060,73 @@ def test_exact_eta_kinds_need_a_sample_covariance(kind, need, tmp_path,
     cfgfile.write_text(text)
     assert cli_main([kind, "--config", str(cfgfile),
                      "--replicas", str(need - 1)]) == EXIT_CONFIG
+
+
+def test_cli_kinds_are_the_kinds_table():
+    (kind,) = [a for a in build_parser()._actions if a.dest == "kind"]
+    assert kind.choices == list(KINDS)
+
+
+# one config that every kind accepts at 200 replicas
+EVERY_KIND = MINIMAL.replace("dt = 0.01", "dt = 0.002").replace(
+    "seed = 7", "seed = 7\ny_list = 1\n"
+    "record_times = 0.002, 0.004, 0.008, 0.016, 0.04")
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_fewest_replicas_come_from_the_kinds_table(kind):
+    fewest = KINDS[kind][3]
+    text = EVERY_KIND.replace("kind = clt", "kind = " + kind)
+    if kind in ("variance-limit", "fclt"):
+        text += SINE_AFFINE  # eta is estimated, so the table's count applies
+    with pytest.raises(ConfigError, match="n_replicas >= %d, got %d"
+                       % (fewest, fewest - 1)):
+        parse_config(text.replace("n_replicas = 200",
+                                  "n_replicas = %d" % (fewest - 1)))
+    parse_config(text.replace("n_replicas = 200", "n_replicas = %d" % fewest))
+
+
+D7 = """
+kind = %s
+d = 7
+beta = 0.5
+T = 0.04
+R_list = 1, 2, 3
+region_kind = %s
+y_list = 1
+
+[lattice]
+n = 2
+L = 4.0
+"""
+
+
+@pytest.fixture
+def no_cell_quadrature(monkeypatch):
+    # at d = 7 the quadrature would ask for 8.5 GiB inside this process
+    def refuse(d, beta):
+        raise AssertionError("reached the cell quadrature at d = %d" % d)
+    for module in ("riesz_she.noise", "riesz_she.observables"):
+        monkeypatch.setattr(module + ".cube_pair_integral", refuse)
+
+
+def test_cell_quadrature_above_d6_is_a_config_error(no_cell_quadrature,
+                                                    tmp_path, capsys):
+    for kind, region in (("noise-validate", "ball"), ("clt", "ball"),
+                         ("constants", "box")):
+        with pytest.raises(ConfigError, match="d must be at most 6 for kind "
+                           "%r, .* got d = 7" % kind):
+            parse_config(D7 % (kind, region))
+    parse_config((D7 % ("constants", "box")).replace("d = 7", "d = 6"))
+    # no quadrature: the ball's constant is closed-form, lemma31's kernel too
+    for kind in ("constants", "lemma31"):
+        assert run_experiment(parse_config(D7 % (kind, "ball"))).all_passed
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(D7 % ("constants", "box"))
+    assert cli_main(["constants", "--config", str(cfgfile)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(
+        "config error: d must be at most 6")
 
 
 COSINE_START = ("\n[init]\nkind = cosine\noffset = 1.25\namplitude = 0.75\n"

@@ -1,6 +1,7 @@
-"""The names perfbench/launch.py wraps must exist where it looks them up.
+"""The names perfbench/launch.py wraps must exist where it looks them up, and
+the kinds perfbench/run.py runs must be rows of runner.KINDS.
 
-A rename breaks only the benchmark's traced run, which no other test runs.
+A rename breaks only the benchmark's runs, which no other test makes.
 """
 
 import importlib
@@ -13,6 +14,7 @@ from riesz_she import build_embedding, runner
 from riesz_she.config import parse_config
 
 LAUNCH = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
+RUN = LAUNCH.with_name("run.py")
 
 CFG = """
 kind = variance-limit
@@ -30,12 +32,25 @@ L = 4.0
 """
 
 
-@pytest.fixture(scope="module")
-def launch():
-    spec = importlib.util.spec_from_file_location("perfbench_launch", LAUNCH)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def launch():
+    return _load("perfbench_launch", LAUNCH)
+
+
+def test_benchmark_kinds_are_in_the_kinds_table():
+    # a kind renamed or re-flagged in runner.KINDS would otherwise only
+    # lower the kinds-sweep workload's ok_ratio
+    bench = _load("perfbench_run", RUN)
+    assert set(bench.ALL_KINDS) <= set(runner.KINDS)
+    assert bench.SIM_KINDS == tuple(kind for kind in bench.ALL_KINDS
+                                    if runner.KINDS[kind][1])
 
 
 def test_every_traced_name_resolves(launch):
