@@ -51,21 +51,19 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, {k: v for k, v in overrides.items()
                                         if v is not None})
-    except ConfigError as exc:
+        rs = run_experiment(cfg, workers=args.workers)
+    except (ConfigError, EmbeddingError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        rs = run_experiment(cfg, workers=args.workers)
+    except MemoryError as exc:  # a lattice or replica pool too large
+        print("config error: out of memory: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
     except DegenerateSigmaError as exc:
         print("degenerate: %s" % exc, file=sys.stderr)
         return EXIT_DEGENERATE
     except InstabilityError as exc:
         print("numerical instability: %s" % exc, file=sys.stderr)
         return EXIT_INSTABILITY
-    except EmbeddingError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
 
     for rep in rs.reports:
         row = rep.as_row()

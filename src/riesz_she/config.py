@@ -296,8 +296,8 @@ def _validate(cfg):
 
 def load_config(path, overrides=None):
     try:
-        with open(path, "r") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     return parse_config(text, overrides)

@@ -146,7 +146,7 @@ def _limit_variances(cfg, rs):
 
 # --- per-kind pipelines -----------------------------------------------------
 
-def _run_noise_validate(cfg, workers):
+def _run_noise_validate(cfg, rs):
     """Slice i is the first n^d normals of stream (seed, i); slices are
     colored and reduced to lag products block_size(lattice) at a time."""
     cov = build_embedding(cfg.lattice, cfg.spec)
@@ -159,20 +159,11 @@ def _run_noise_validate(cfg, workers):
         parts.append(sigma_lag_means(sample_slice(cov, cfg.dt, w),
                                      NonlinearitySpec("linear"),
                                      cfg.lag_cells))
-    return ResultSet(config=cfg, reports=covariance_diagnostic(
+    rs.reports.extend(covariance_diagnostic(
         np.concatenate(parts), cfg.lag_cells, cov, cfg.dt))
 
 
-def _run_simulation_kind(cfg, workers):
-    _check_degenerate(cfg)
-    cov = build_embedding(cfg.lattice, cfg.spec)
-    samples, reduced = collect_samples(
-        run_replicas(cfg, cov, workers=workers), cfg)
-    return ResultSet(config=cfg, samples=samples, reduced=reduced)
-
-
-def _run_variance_limit(cfg, workers):
-    rs = _run_simulation_kind(cfg, workers)
+def _run_variance_limit(cfg, rs):
     d, beta = cfg.spec.d, cfg.spec.beta
     t = max(cfg.record_times)
     target = _limit_variances(cfg, rs)[t]
@@ -196,11 +187,9 @@ def _run_variance_limit(cfg, workers):
         estimate=rel_errors[R_hi], target=rel_errors[R_lo],
         tolerance=float("inf"), passed=rel_errors[R_hi] < rel_errors[R_lo],
         note="one-sided: relative error at R_hi < at R_lo"))
-    return rs
 
 
-def _run_clt(cfg, workers):
-    rs = _run_simulation_kind(cfg, workers)
+def _run_clt(cfg, rs):
     d, beta = cfg.spec.d, cfg.spec.beta
     t = max(cfg.record_times)
     Rs = sorted(cfg.R_list)
@@ -243,20 +232,16 @@ def _run_clt(cfg, workers):
         estimate=float(exceptions), target=0.0, tolerance=1.0,
         passed=exceptions <= 1,
         note="non-increase across R up to one floor-gated exception"))
-    return rs
 
 
-def _run_fclt(cfg, workers):
-    rs = _run_simulation_kind(cfg, workers)
+def _run_fclt(cfg, rs):
     R = max(cfg.R_list)
     rs.reports.extend(functional_cov_check(
         rs.samples[R], cfg.record_times, R, _limit_variances(cfg, rs),
         cfg.spec.d, cfg.spec.beta))
-    return rs
 
 
-def _run_tightness(cfg, workers):
-    rs = _run_simulation_kind(cfg, workers)
+def _run_tightness(cfg, rs):
     d, beta = cfg.spec.d, cfg.spec.beta
     times = sorted(cfg.record_times)
     base = times[0]
@@ -274,27 +259,21 @@ def _run_tightness(cfg, workers):
             params={"R_lo": R_lo, "R_hi": R_hi, "p": cfg.p_moment},
             estimate=ratio, target=target, tolerance=0.2 * target,
             passed=abs(ratio - target) <= 0.2 * target))
-    return rs
 
 
-def _run_decay(cfg, workers):
-    rs = _run_simulation_kind(cfg, workers)
+def _run_decay(cfg, rs):
     report, rows = correlation_decay_check(
         rs.reduced[max(cfg.record_times)], cfg.lag_cells, cfg.lattice,
         cfg.spec.beta)
     rs.reports.append(report)
-    return rs
 
 
-def _run_lemma31(cfg, workers):
-    rs = ResultSet(config=cfg)
+def _run_lemma31(cfg, rs):
     for y in cfg.y_list:
         rs.reports.append(lemma31_check(cfg.spec, [y] + [0.0] * (cfg.spec.d - 1)))
-    return rs
 
 
-def _run_constants(cfg, workers):
-    rs = ResultSet(config=cfg)
+def _run_constants(cfg, rs):
     rs.constants = constants_rows(cfg.spec, region_kind=cfg.region_kind)
     for name, d, beta, rk, val, se, method in rs.constants:
         rs.reports.append(StatsReport(
@@ -302,11 +281,11 @@ def _run_constants(cfg, workers):
             params={"d": d, "beta": beta, "region": rk, "method": method},
             estimate=val, target=val, tolerance=1e-12,
             passed=True, stderr=se))
-    return rs
 
 
-# kind: (pipeline, whether it steps the equation, fewest R_list radii: clt
-# fits a slope through 3, variance-limit compares 2; fewest replicas).
+# kind: (pipeline(cfg, rs), which appends reports; whether it steps the
+# equation, so run_experiment runs the replicas first; fewest R_list radii:
+# clt fits a slope through 3, variance-limit compares 2; fewest replicas).
 KINDS = {
     "noise-validate": (_run_noise_validate, False, 0, 100),
     "variance-limit": (_run_variance_limit, True, 2, 100),
@@ -323,7 +302,14 @@ def run_experiment(cfg, workers=1):
     if cfg.kind not in KINDS:
         raise ValueError("unknown kind %r" % (cfg.kind,))
     t0 = _time.monotonic()
-    rs = KINDS[cfg.kind][0](cfg, workers)
+    pipeline, steps = KINDS[cfg.kind][:2]
+    rs = ResultSet(config=cfg)
+    if steps:
+        _check_degenerate(cfg)
+        cov = build_embedding(cfg.lattice, cfg.spec)
+        rs.samples, rs.reduced = collect_samples(
+            run_replicas(cfg, cov, workers=workers), cfg)
+    pipeline(cfg, rs)
     rs.wall_seconds = _time.monotonic() - t0
     return rs
 

@@ -162,15 +162,13 @@ def test_criterion_05_rate_direction(reference_run):
     assert ok
 
 
-def test_clt_run_fits_the_rate_of_criterion_05(reference_run, monkeypatch):
+def test_clt_run_fits_the_rate_of_criterion_05(reference_run):
     # every KS of the reference run lies above the floor, so the clt
     # pipeline fits its rate instead of passing it as all at the floor
     cfg, samples, _ = reference_run
-    monkeypatch.setattr(runner, "_run_simulation_kind",
-                        lambda cfg, workers: ResultSet(config=cfg,
-                                                       samples=samples))
-    rep, = [r for r in runner._run_clt(cfg, workers=1).reports
-            if r.metric == "ks_rate_exponent"]
+    rs = ResultSet(config=cfg, samples=samples)
+    runner._run_clt(cfg, rs)
+    rep, = [r for r in rs.reports if r.metric == "ks_rate_exponent"]
     exponent, _, _ = rate_fit(_ks_by_R(samples), cfg.n_replicas)
     assert rep.estimate == exponent and rep.estimate <= 0.0 and rep.passed
     assert rep.note == "one-sided upper-bound rate; 0 floor-gated points"

@@ -1073,17 +1073,66 @@ EVERY_KIND = MINIMAL.replace("dt = 0.01", "dt = 0.002").replace(
     "record_times = 0.002, 0.004, 0.008, 0.016, 0.04")
 
 
-@pytest.mark.parametrize("kind", list(KINDS))
-def test_fewest_replicas_come_from_the_kinds_table(kind):
-    fewest = KINDS[kind][3]
+def _every_kind_text(kind):
     text = EVERY_KIND.replace("kind = clt", "kind = " + kind)
     if kind in ("variance-limit", "fclt"):
         text += SINE_AFFINE  # eta is estimated, so the table's count applies
+    return text
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_fewest_replicas_come_from_the_kinds_table(kind):
+    fewest = KINDS[kind][3]
+    text = _every_kind_text(kind)
     with pytest.raises(ConfigError, match="n_replicas >= %d, got %d"
                        % (fewest, fewest - 1)):
         parse_config(text.replace("n_replicas = 200",
                                   "n_replicas = %d" % (fewest - 1)))
     parse_config(text.replace("n_replicas = 200", "n_replicas = %d" % fewest))
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_run_experiment_steps_the_kinds_the_table_marks(kind, monkeypatch):
+    from riesz_she import runner
+    calls, real = [], runner.run_replicas
+    monkeypatch.setattr(runner, "run_replicas",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    run_experiment(parse_config(_every_kind_text(kind)))
+    assert len(calls) == (1 if KINDS[kind][1] else 0)
+
+
+@pytest.mark.parametrize("where", ["riesz_she.observables.Region.mask",
+                                   "riesz_she.runner.run_replicas"])
+def test_out_of_memory_is_a_config_error(where, tmp_path, monkeypatch,
+                                         capsys):
+    # numpy's MemoryError for a lattice too large, raised in validation
+    # (Region.mask) or in the run; nothing is allocated here
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array with "
+                          "shape (1024, 1024, 1024) and data type float64")
+    monkeypatch.setattr(where, no_memory)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(MINIMAL)
+    out = tmp_path / "out"
+    assert cli_main(["clt", "--config", str(cfgfile),
+                     "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: out of memory: Unable to allocate")
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_bytes(b"kind = clt\nd = 1\xff\n")
+    assert cli_main(["clt", "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: cannot read config %s: 'utf-8' codec can't decode "
+        "byte 0xff in position 16: invalid start byte\n" % cfgfile)
+    # UTF-8 text reads as such, whatever the locale's encoding
+    cfgfile.write_text(MINIMAL + "# \u03b2 < d\n", encoding="utf-8")
+    assert load_config(str(cfgfile)).canonical_text() \
+        == parse_config(MINIMAL).canonical_text()
 
 
 D7 = """

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from riesz_she import build_embedding, runner
-from riesz_she.config import parse_config
+from riesz_she.config import load_config, parse_config
 
 LAUNCH = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
 RUN = LAUNCH.with_name("run.py")
@@ -44,10 +44,28 @@ def launch():
     return _load("perfbench_launch", LAUNCH)
 
 
-def test_benchmark_kinds_are_in_the_kinds_table():
+@pytest.fixture(scope="module")
+def bench():
+    return _load("perfbench_run", RUN)
+
+
+@pytest.fixture
+def timed_probe(launch, tmp_path, monkeypatch):
+    # the timed run wraps only cli.run_experiment, runner.run_replicas,
+    # runner._run_chunk, runner.build_embedding and runner.mean_field
+    from riesz_she import cli
+    for mod, attr in ((cli, "run_experiment"), (runner, "run_replicas"),
+                      (runner, "_run_chunk"), (runner, "build_embedding"),
+                      (runner, "mean_field")):
+        monkeypatch.setattr(mod, attr, getattr(mod, attr))  # undone after
+    probe = launch.Probe(str(tmp_path / "probe.json"), traced=False)
+    probe.install()
+    return probe
+
+
+def test_benchmark_kinds_are_in_the_kinds_table(bench):
     # a kind renamed or re-flagged in runner.KINDS would otherwise only
     # lower the kinds-sweep workload's ok_ratio
-    bench = _load("perfbench_run", RUN)
     assert set(bench.ALL_KINDS) <= set(runner.KINDS)
     assert bench.SIM_KINDS == tuple(kind for kind in bench.ALL_KINDS
                                     if runner.KINDS[kind][1])
@@ -82,16 +100,9 @@ def test_chunk_and_region_hooks_see_the_run(launch, tmp_path, monkeypatch):
     assert probe.layers["noise.sample_slice"][3] > 0
 
 
-def test_timed_probe_sees_the_run(launch, tmp_path, monkeypatch):
-    # the timed run wraps only cli.run_experiment, runner.run_replicas,
-    # runner._run_chunk, runner.build_embedding and runner.mean_field
+def test_timed_probe_sees_the_run(timed_probe, tmp_path):
     from riesz_she import cli
-    for mod, attr in ((cli, "run_experiment"), (runner, "run_replicas"),
-                      (runner, "_run_chunk"), (runner, "build_embedding"),
-                      (runner, "mean_field")):
-        monkeypatch.setattr(mod, attr, getattr(mod, attr))  # undone after
-    probe = launch.Probe(str(tmp_path / "probe.json"), traced=False)
-    probe.install()
+    probe = timed_probe
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(CFG)
     assert cli.main(["variance-limit", "--config", str(cfgfile)]) in (0, 1)
@@ -100,3 +111,20 @@ def test_timed_probe_sees_the_run(launch, tmp_path, monkeypatch):
     assert probe.marks["setup_end"] > 0
     assert [c[2] for c in probe.chunks] == [0]
     assert probe.layers == {}
+
+
+@pytest.mark.parametrize("kind", list(runner.KINDS))
+def test_timed_probe_sees_every_kind_of_the_sweep(kind, bench, timed_probe,
+                                                  tmp_path):
+    # run_experiment steps the stepping kinds through the names the probe
+    # wraps, so every kind of the kinds-sweep workload marks its set-up and
+    # each stepping kind one replica span of all its replica-steps
+    from riesz_she import cli
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(bench.WORKLOADS["kinds-sweep"].config % {"seed": 42})
+    assert cli.main([kind, "--config", str(cfgfile)]) in (0, 1)
+    assert timed_probe.marks["setup_end"] > 0
+    cfg = load_config(str(cfgfile))
+    steps = cfg.n_replicas * int(round(cfg.T / cfg.dt))
+    assert [span[2] for span in timed_probe.replicas] == (
+        [steps] if kind in bench.SIM_KINDS else [])
