@@ -13,11 +13,10 @@ import hashlib
 import numpy as np
 
 from .engine import (INIT_KINDS, SIGMA_KINDS, InitialCondition,
-                     NonlinearitySpec, time_grid)
-from .noise import QUADRATURE_MAX_D, Lattice, RieszSpec
-from .observables import Region, check_margin
-from .runner import KINDS
-from .stats import lag_distances
+                     NonlinearitySpec)
+from .noise import Lattice, RieszSpec
+from .observables import Region
+from .runner import check_config
 
 
 class ConfigError(Exception):
@@ -134,20 +133,6 @@ class ExperimentConfig:
             self.sigma.kind in ("linear", "affine")
 
     @property
-    def lag_cells(self):
-        """Lag offsets in cells along the first axis: the lags key, else for
-        decay about 12 log-spaced from 2 cells to L/4, for noise-validate
-        0 and the powers of two up to min(32, n/2)."""
-        lags = self.lags
-        if lags is None and self.kind == "decay":
-            hi = int(self.lattice.L / 4.0 / self.lattice.h)
-            lags = sorted(set(int(round(v)) for v in np.geomspace(2, hi, 12)))
-        elif lags is None:
-            lags = [k for k in (0, 1, 2, 4, 8, 16, 32)
-                    if k <= self.lattice.n // 2]
-        return [(k,) + (0,) * (self.spec.d - 1) for k in lags]
-
-    @property
     def regions(self):
         return [Region(kind=self.region_kind, radius=R) for R in self.R_list]
 
@@ -175,8 +160,9 @@ class ExperimentConfig:
 
 
 def parse_config(text, overrides=None):
-    """ExperimentConfig from config text. overrides ({key: text}) replace
-    top-level keys before any value is converted or checked."""
+    """ExperimentConfig from config text, checked by runner.check_config.
+    overrides ({key: text}) replace top-level keys before any value is
+    converted or checked. Every ValueError becomes a ConfigError here."""
     sections = _parse_sections(text)
     top = _read({**sections[""], **(overrides or {})}, "")
     del top["store_fields"]
@@ -194,109 +180,26 @@ def parse_config(text, overrides=None):
                 raise ConfigError("missing required key %r" % (key,))
         init = InitialCondition(start["kind"],
                                 **{key: start[key] for key in reads})
+        T = top["T"]
+        if top["dt"] is None:
+            top["dt"] = lattice.h ** 2 / 4.0
+            if T > 0:
+                # snap the default down so T is a whole number of steps
+                top["dt"] = T / int(np.ceil(T / top["dt"] - 1e-9))
+        if top["record_times"] is None:
+            top["record_times"] = [T] if T > 0 else []
+        cfg = ExperimentConfig(spec=spec, lattice=lattice, sigma=sigma,
+                               init=init, **top)
+        check_config(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc))
-
-    T = top["T"]
-    if top["dt"] is None:
-        top["dt"] = lattice.h ** 2 / 4.0
-        if T > 0:
-            # snap the default down so T is a whole number of steps
-            top["dt"] = T / int(np.ceil(T / top["dt"] - 1e-9))
-    if top["record_times"] is None:
-        top["record_times"] = [T] if T > 0 else []
-    cfg = ExperimentConfig(spec=spec, lattice=lattice, sigma=sigma,
-                           init=init, **top)
-    _validate(cfg)
     return cfg
 
 
-def _validate(cfg):
-    if cfg.kind not in KINDS:
-        raise ConfigError("unknown experiment kind %r (choose from %s)"
-                          % (cfg.kind, ", ".join(KINDS)))
-    _, steps, min_radii, need = KINDS[cfg.kind]
-    if cfg.T < 0:
-        raise ConfigError("T must be nonnegative, got %g" % cfg.T)
-    if cfg.dt <= 0:
-        raise ConfigError("dt must be positive, got %g" % cfg.dt)
-    if cfg.region_kind not in ("ball", "box"):
-        raise ConfigError("region_kind must be ball or box, got %r"
-                          % (cfg.region_kind,))
-    # the noise embedding and box constants integrate over the unit cell
-    if cfg.spec.d > QUADRATURE_MAX_D and (steps or cfg.kind == "noise-validate"
-            or (cfg.kind, cfg.region_kind) == ("constants", "box")):
-        raise ConfigError("d must be at most %d for kind %r, whose cell "
-                          "quadrature would not fit in memory; got d = %d"
-                          % (QUADRATURE_MAX_D, cfg.kind, cfg.spec.d))
-    # stream keys hold the seed in 64 bits; wider seeds would alias
-    if not 0 <= cfg.seed < 2**64:
-        raise ConfigError("seed must lie in [0, 2**64), got %d" % cfg.seed)
-    if cfg.kind in ("noise-validate", "decay") and cfg.lags == []:
-        raise ConfigError("lags is empty; kind %r needs at least one lag"
-                          % (cfg.kind,))
-    if steps:
-        if cfg.T <= 0:
-            raise ConfigError("T must be positive for kind %r" % (cfg.kind,))
-        if not cfg.R_list:
-            raise ConfigError("R_list is required for kind %r" % (cfg.kind,))
-        if not cfg.record_times:
-            raise ConfigError("record_times is empty; kind %r needs at least "
-                              "one record time" % (cfg.kind,))
-        try:
-            _, record_steps = time_grid(cfg.T, cfg.dt, cfg.record_times)
-            for reg in cfg.regions:
-                reg.cells(cfg.lattice)
-            check_margin(cfg.lattice, cfg.regions, cfg.T)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        if cfg.kind == "decay":
-            try:
-                lag_distances(cfg.lag_cells, cfg.lattice)
-            except ValueError as exc:
-                raise ConfigError(str(exc) + (
-                    "" if cfg.lags is not None else "; these are the default "
-                    "lags for n and L: set lags or refine the lattice"))
-        # G_R(0) = 0, and fclt divides by Var G_R(t) at every record time,
-        # clt and variance-limit at the last one
-        if (cfg.kind == "fclt" and 0 in record_steps) or (
-                cfg.kind in ("clt", "variance-limit")
-                and max(record_steps, default=0) == 0):
-            raise ConfigError("kind %r needs its record times after t = 0, "
-                              "where every G_R is 0" % (cfg.kind,))
-    if len(set(cfg.R_list)) < len(cfg.R_list):
-        raise ConfigError("R_list repeats a radius: %s"
-                          % ", ".join("%g" % R for R in cfg.R_list))
-    if len(cfg.R_list) < min_radii:
-        raise ConfigError("%s needs >= %d R_list values, got %d"
-                          % (cfg.kind, min_radii, len(cfg.R_list)))
-    if cfg.kind == "fclt" and len(cfg.record_times) < 2:
-        raise ConfigError("fclt needs at least two record times")
-    if cfg.kind == "tightness":
-        times = sorted(cfg.record_times)
-        gaps = np.subtract(times[1:], times[:1])  # from the base time
-        if len(gaps) < 4:
-            raise ConfigError("tightness needs a base time plus >= 4 gap "
-                              "times")
-        if gaps.max() / gaps.min() < 10.0 - 1e-9:
-            raise ConfigError("tightness gaps must span a decade")
-        if cfg.p_moment not in (2, 4):
-            raise ConfigError("p_moment must be 2 or 4, got %d" % cfg.p_moment)
-    if cfg.kind == "lemma31" and not (
-            cfg.y_list and all(0 < abs(y) < np.inf for y in cfg.y_list)):
-        raise ConfigError("lemma31 needs y_list of nonzero finite values")
-    # an exact eta is not estimated: variance-limit then needs a sample
-    # variance, fclt a full-rank covariance over its record times
-    if cfg.kind in ("variance-limit", "fclt") and cfg.eta_exact:
-        need = 2 if cfg.kind == "variance-limit" else len(cfg.record_times) + 1
-    if cfg.n_replicas < need:
-        raise ConfigError("kind %r needs n_replicas >= %d, got %d"
-                          % (cfg.kind, need, cfg.n_replicas))
-
-
 def load_config(path, overrides=None):
+    """parse_config of a UTF-8 file; a leading byte-order mark is dropped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))

@@ -18,15 +18,16 @@ import numpy as np
 
 from . import __version__
 from .engine import (DegenerateSigmaError, NonlinearitySpec, block_size,
-                     mean_field, simulate)
-from .noise import build_embedding, sample_slice
-from .observables import (constants_rows, estimate_eta, eta_sq_integrals,
-                          k_beta, region_averages)
+                     mean_field, simulate, time_grid)
+from .noise import QUADRATURE_MAX_D, build_embedding, sample_slice
+from .observables import (check_margin, constants_rows, estimate_eta,
+                          eta_sq_integrals, k_beta, region_averages)
 from .stats import (StatsReport, correlation_decay_check,
                     covariance_diagnostic, functional_cov_check,
                     increment_moment_fit, increment_r_scaling, ks_distance,
-                    ks_floor, lemma31_check, rate_fit, scaling_fit,
-                    sigma_lag_means, standardize, variance_stderr)
+                    ks_floor, lag_distances, lemma31_check, rate_fit,
+                    scaling_fit, sigma_lag_means, standardize,
+                    variance_stderr)
 from .streams import stream_for
 
 EXIT_PASS = 0
@@ -78,7 +79,7 @@ def _reducers(cfg):
         out[t] = (g_r,) + (kind if t > 0 else ())
     if cfg.kind == "decay":
         out[max(out)] += (functools.partial(
-            sigma_lag_means, sigma=cfg.sigma, lag_cells=cfg.lag_cells),)
+            sigma_lag_means, sigma=cfg.sigma, lag_cells=lag_cells(cfg)),)
     return out
 
 
@@ -150,17 +151,16 @@ def _run_noise_validate(cfg, rs):
     """Slice i is the first n^d normals of stream (seed, i); slices are
     colored and reduced to lag products block_size(lattice) at a time."""
     cov = build_embedding(cfg.lattice, cfg.spec)
-    B = block_size(cfg.lattice)
+    B, lags = block_size(cfg.lattice), lag_cells(cfg)
     parts = []
     for lo in range(0, cfg.n_replicas, B):
         w = np.empty((min(B, cfg.n_replicas - lo),) + cfg.lattice.shape)
         for i, row in enumerate(w, lo):
             stream_for(cfg.seed, i).standard_normal(out=row)
         parts.append(sigma_lag_means(sample_slice(cov, cfg.dt, w),
-                                     NonlinearitySpec("linear"),
-                                     cfg.lag_cells))
+                                     NonlinearitySpec("linear"), lags))
     rs.reports.extend(covariance_diagnostic(
-        np.concatenate(parts), cfg.lag_cells, cov, cfg.dt))
+        np.concatenate(parts), lags, cov, cfg.dt))
 
 
 def _run_variance_limit(cfg, rs):
@@ -263,7 +263,7 @@ def _run_tightness(cfg, rs):
 
 def _run_decay(cfg, rs):
     report, rows = correlation_decay_check(
-        rs.reduced[max(cfg.record_times)], cfg.lag_cells, cfg.lattice,
+        rs.reduced[max(cfg.record_times)], lag_cells(cfg), cfg.lattice,
         cfg.spec.beta)
     rs.reports.append(report)
 
@@ -296,6 +296,100 @@ KINDS = {
     "lemma31": (_run_lemma31, False, 0, 1),
     "constants": (_run_constants, False, 0, 1),
 }
+
+
+def lag_cells(cfg):
+    """Lag offsets in cells along the first axis: the lags key, else for
+    decay about 12 log-spaced from 2 cells to L/4, for noise-validate
+    0 and the powers of two up to min(32, n/2)."""
+    lags, lat = cfg.lags, cfg.lattice
+    if lags is None and cfg.kind == "decay":
+        hi = int(lat.L / 4.0 / lat.h)
+        lags = sorted(set(int(round(v)) for v in np.geomspace(2, hi, 12)))
+    elif lags is None:
+        lags = [k for k in (0, 1, 2, 4, 8, 16, 32) if k <= lat.n // 2]
+    return [(k,) + (0,) * (cfg.spec.d - 1) for k in lags]
+
+
+def check_config(cfg):
+    """Raise ValueError at the first rule of cfg's kind that cfg breaks."""
+    if cfg.kind not in KINDS:
+        raise ValueError("unknown experiment kind %r (choose from %s)"
+                         % (cfg.kind, ", ".join(KINDS)))
+    _, steps, min_radii, need = KINDS[cfg.kind]
+    if cfg.T < 0:
+        raise ValueError("T must be nonnegative, got %g" % cfg.T)
+    if cfg.dt <= 0:
+        raise ValueError("dt must be positive, got %g" % cfg.dt)
+    if cfg.region_kind not in ("ball", "box"):
+        raise ValueError("region_kind must be ball or box, got %r"
+                         % (cfg.region_kind,))
+    # the noise embedding and box constants integrate over the unit cell
+    if cfg.spec.d > QUADRATURE_MAX_D and (steps or cfg.kind == "noise-validate"
+            or (cfg.kind, cfg.region_kind) == ("constants", "box")):
+        raise ValueError("d must be at most %d for kind %r, whose cell "
+                         "quadrature would not fit in memory; got d = %d"
+                         % (QUADRATURE_MAX_D, cfg.kind, cfg.spec.d))
+    # stream keys hold the seed in 64 bits; wider seeds would alias
+    if not 0 <= cfg.seed < 2**64:
+        raise ValueError("seed must lie in [0, 2**64), got %d" % cfg.seed)
+    if cfg.kind in ("noise-validate", "decay") and cfg.lags == []:
+        raise ValueError("lags is empty; kind %r needs at least one lag"
+                         % (cfg.kind,))
+    if steps:
+        if cfg.T <= 0:
+            raise ValueError("T must be positive for kind %r" % (cfg.kind,))
+        if not cfg.R_list:
+            raise ValueError("R_list is required for kind %r" % (cfg.kind,))
+        if not cfg.record_times:
+            raise ValueError("record_times is empty; kind %r needs at least "
+                             "one record time" % (cfg.kind,))
+        _, record_steps = time_grid(cfg.T, cfg.dt, cfg.record_times)
+        for reg in cfg.regions:
+            reg.cells(cfg.lattice)
+        check_margin(cfg.lattice, cfg.regions, cfg.T)
+        if cfg.kind == "decay":
+            try:
+                lag_distances(lag_cells(cfg), cfg.lattice)
+            except ValueError as exc:
+                raise ValueError(str(exc) + (
+                    "" if cfg.lags is not None else "; these are the default "
+                    "lags for n and L: set lags or refine the lattice"))
+        # G_R(0) = 0, and fclt divides by Var G_R(t) at every record time,
+        # clt and variance-limit at the last one
+        if (cfg.kind == "fclt" and 0 in record_steps) or (
+                cfg.kind in ("clt", "variance-limit")
+                and max(record_steps, default=0) == 0):
+            raise ValueError("kind %r needs its record times after t = 0, "
+                             "where every G_R is 0" % (cfg.kind,))
+    if len(set(cfg.R_list)) < len(cfg.R_list):
+        raise ValueError("R_list repeats a radius: %s"
+                         % ", ".join("%g" % R for R in cfg.R_list))
+    if len(cfg.R_list) < min_radii:
+        raise ValueError("%s needs >= %d R_list values, got %d"
+                         % (cfg.kind, min_radii, len(cfg.R_list)))
+    if cfg.kind == "fclt" and len(cfg.record_times) < 2:
+        raise ValueError("fclt needs at least two record times")
+    if cfg.kind == "tightness":
+        times = sorted(cfg.record_times)
+        gaps = np.subtract(times[1:], times[:1])  # from the base time
+        if len(gaps) < 4:
+            raise ValueError("tightness needs a base time plus >= 4 gap "
+                             "times")
+        if gaps.max() / gaps.min() < 10.0 - 1e-9:
+            raise ValueError("tightness gaps must span a decade")
+        if cfg.p_moment not in (2, 4):
+            raise ValueError("p_moment must be 2 or 4, got %d" % cfg.p_moment)
+    if cfg.kind == "lemma31" and not (
+            cfg.y_list and all(0 < abs(y) < np.inf for y in cfg.y_list)):
+        raise ValueError("lemma31 needs y_list of nonzero finite values")
+    # an exact eta is not estimated: variance-limit then needs a sample
+    # variance, fclt a full-rank covariance over its record times
+    if cfg.kind in ("variance-limit", "fclt") and cfg.eta_exact:
+        need = 2 if cfg.kind == "variance-limit" else len(cfg.record_times) + 1
+    if cfg.n_replicas < need:
+        raise ValueError("kind %r needs n_replicas >= %d, got %d"
+                         % (cfg.kind, need, cfg.n_replicas))
 
 
 def run_experiment(cfg, workers=1):

@@ -10,8 +10,10 @@ genuinely cannot meet at these tolerances fail red by design; see the
 decisions ledger for the quantitative analysis.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,13 +305,15 @@ def _fresh_clt_runs(tmp_path, extra_args):
     byte-identical across the runs."""
     cfgfile = tmp_path / "det.cfg"
     cfgfile.write_text(DET_CFG)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
     outs = []
     for i, extra in enumerate(extra_args):
         out = tmp_path / ("run%d" % i)
         proc = subprocess.run(
             [sys.executable, "-m", "riesz_she.cli", "clt",
              "--config", str(cfgfile), "--out", str(out)] + extra,
-            capture_output=True)
+            capture_output=True, env=env)
         assert proc.returncode in (0, 1), proc.stderr.decode()
         outs.append(out)
     return all((outs[0] / n).read_bytes() == (out / n).read_bytes()

@@ -12,7 +12,8 @@ from riesz_she.config import (KEYS, ConfigError, load_config,
 from riesz_she.observables import estimate_eta
 from riesz_she.runner import (EXIT_CONFIG, EXIT_DEGENERATE,
                               EXIT_INSTABILITY, EXIT_PASS, EXIT_STAT_FAIL,
-                              KINDS, ResultSet, emit_results, run_experiment)
+                              KINDS, ResultSet, emit_results, lag_cells,
+                              run_experiment)
 from riesz_she.stats import StatsReport, correlation_decay_check
 
 MINIMAL = """
@@ -705,18 +706,32 @@ def test_region_without_a_cell_is_a_config_error(text, match, tmp_path):
     pytest.param("record_times", "record_times = 0.02, 0.05", "clt",
                  "record time 0.05 exceeds horizon 0.04",
                  id="record_times-past-T"),
+    pytest.param("offset", "[init]\nkind = cosine\namplitude = 1", "clt",
+                 "missing required key 'offset'", id="offset-missing"),
+    pytest.param("amplitude", "[init]\nkind = cosine\noffset = 1", "clt",
+                 "missing required key 'amplitude'", id="amplitude-missing"),
+    # two faults at once: the first check that fails is the one reported
+    pytest.param("T", "T = -1\nregion_kind = cube", "clt",
+                 "T must be nonnegative, got -1", id="T-negative-and-cube"),
+    pytest.param("R_list", "lags =", "decay",
+                 "lags is empty; kind 'decay' needs at least one lag",
+                 id="lags-empty-and-R_list-missing"),
+    pytest.param("record_times", "record_times = 0", "fclt",
+                 "kind 'fclt' needs its record times after t = 0",
+                 id="fclt-one-record-time-at-0"),
 ])
 def test_non_finite_T_L_or_dt_is_a_config_error(key, line, kind, match,
                                                 tmp_path, capsys):
     # the line replaces the key's line in MINIMAL, or goes in before its
-    # [lattice] section; each exits 4 with one line that names the key
+    # [lattice] section; parse_config gets the kind as the CLI passes it,
+    # and each exits 4 with one line that names the key
     match = match or "key '%s'.*not a finite" % key
     text = "\n".join(line if ln.startswith(key + " =") else ln
                      for ln in MINIMAL.splitlines())
     if line not in text:
         text = text.replace("[lattice]", line + "\n\n[lattice]")
     with pytest.raises(ConfigError, match=match):
-        parse_config(text)
+        parse_config(text, {"kind": kind})
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(text)
     assert cli_main([kind, "--config", str(cfgfile)]) == EXIT_CONFIG
@@ -920,11 +935,11 @@ def test_reduced_eta_and_decay_match_stacked_fields():
     su = cfg.sigma(_field_stacks(cfg)[cfg.T])
     eta_ref = su.mean()
     assert lag_means[:, 0].mean() == pytest.approx(eta_ref, rel=1e-12, abs=0)
-    _, rows = correlation_decay_check(lag_means, cfg.lag_cells, cfg.lattice,
+    _, rows = correlation_decay_check(lag_means, lag_cells(cfg), cfg.lattice,
                                       cfg.spec.beta)
     dists = np.array([r[0] for r in rows])
     env = []
-    for lag, (dist, psi, _) in zip(cfg.lag_cells, rows):
+    for lag, (dist, psi, _) in zip(lag_cells(cfg), rows):
         psi_ref = (su * np.roll(su, lag, axis=(1, 2))).mean()
         assert psi == pytest.approx(psi_ref, rel=1e-12, abs=0)
         env.append(abs(psi_ref - eta_ref ** 2) * dist ** cfg.spec.beta)
@@ -1131,6 +1146,14 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
         "byte 0xff in position 16: invalid start byte\n" % cfgfile)
     # UTF-8 text reads as such, whatever the locale's encoding
     cfgfile.write_text(MINIMAL + "# \u03b2 < d\n", encoding="utf-8")
+    assert load_config(str(cfgfile)).canonical_text() \
+        == parse_config(MINIMAL).canonical_text()
+
+
+def test_config_with_a_byte_order_mark_loads(tmp_path):
+    # editors that save UTF-8 with a BOM put U+FEFF before the first key
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_bytes(b"\xef\xbb\xbf" + MINIMAL.lstrip().encode())
     assert load_config(str(cfgfile)).canonical_text() \
         == parse_config(MINIMAL).canonical_text()
 

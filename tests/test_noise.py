@@ -3,8 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from riesz_she import (Lattice, NonlinearitySpec, Region, RieszSpec,
-                       build_embedding, cell_self_energy,
+from riesz_she import (InitialCondition, Lattice, NonlinearitySpec, Region,
+                       RieszSpec, build_embedding, cell_self_energy,
                        covariance_diagnostic, parse_config, run_experiment,
                        sample_slice)
 from riesz_she import noise, runner
@@ -41,6 +41,12 @@ def test_spec_reprs_are_one_line():
     assert repr(RieszSpec(1, 0.5)) == "RieszSpec(d=1, beta=0.5)"
     assert repr(Lattice(2, 8, 4.0)) == "Lattice(d=2, n=8, L=4.0)"
     assert repr(Region("box", 2.0)) == "Region(kind='box', radius=2.0)"
+    assert repr(NonlinearitySpec("affine", 2.0, 0.5)) == \
+        "NonlinearitySpec(kind='affine', a=2.0, b=0.5, c=0.0)"
+    assert repr(InitialCondition("cosine", offset=1.0, amplitude=0.5,
+                                 cycles=2)) == \
+        "InitialCondition(kind='cosine', value=1.0, offset=1.0, " \
+        "amplitude=0.5, cycles=2)"
 
 
 def test_cell_self_energy_closed_form():
@@ -217,7 +223,7 @@ def test_noise_validate_equals_a_per_slice_loop(text, B, monkeypatch):
     if B is not None:
         monkeypatch.setattr(runner, "block_size", lambda lattice: B)
     reports = run_experiment(cfg).reports
-    lat, lags = cfg.lattice, cfg.lag_cells
+    lat, lags = cfg.lattice, runner.lag_cells(cfg)
     cov = build_embedding(lat, cfg.spec)
     axes = tuple(range(lat.d))
     products = []
