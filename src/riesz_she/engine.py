@@ -221,7 +221,8 @@ def simulate(noise_cov, sigma, init, T, dt, seed, replica_ids, reducers):
     lat = noise_cov.lattice
     n_steps, record_steps = time_grid(T, dt, reducers)
     mult = heat_multiplier(lat, dt)
-    u0 = init.field_on(lat)
+    with np.errstate(over="ignore", invalid="ignore"):  # see step
+        u0 = init.field_on(lat)
     ids = list(replica_ids)
     B = min(block_size(lat), len(ids)) or 1
     u = np.empty((B,) + lat.shape)

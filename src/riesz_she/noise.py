@@ -128,8 +128,6 @@ def cell_self_energy(h, spec):
     """
     if h <= 0:
         raise ValueError("cell size h must be positive, got %r" % (h,))
-    if spec.beta >= spec.d:
-        raise ValueError("self energy diverges for beta >= d")
     b = spec.beta
     if spec.d == 1:
         unit = 2.0 / ((1.0 - b) * (2.0 - b))
@@ -200,7 +198,5 @@ def sample_slice(cov, dt, w, out=None, spec=None):
     last d axes; the slice is returned, written into out through spec
     (spectral_multiply). out may be w itself.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive, got %r" % (dt,))
     factor = cov.sqrt_eig_half * np.sqrt(dt)
     return spectral_multiply(w, factor, out, spec)

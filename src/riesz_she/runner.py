@@ -22,7 +22,7 @@ from .engine import (DegenerateSigmaError, NonlinearitySpec, block_size,
 from .noise import QUADRATURE_MAX_D, build_embedding, sample_slice
 from .observables import (check_margin, constants_rows, estimate_eta,
                           eta_sq_integrals, k_beta, region_averages)
-from .stats import (StatsReport, correlation_decay_check,
+from .stats import (LEMMA31_MAX_D, StatsReport, correlation_decay_check,
                     covariance_diagnostic, functional_cov_check,
                     increment_moment_fit, increment_r_scaling, ks_distance,
                     ks_floor, lag_distances, lemma31_check, rate_fit,
@@ -72,7 +72,8 @@ def _reducers(cfg):
     cells = [reg.cells(lat) for reg in cfg.regions]
     out = {}
     for t in cfg.record_times:
-        mean = mean_field(cfg.init, t, lat).reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):  # see engine.step
+            mean = mean_field(cfg.init, t, lat).reshape(-1)
         g_r = functools.partial(region_averages, cells=cells,
                                 means=[mean[idx] for idx in cells],
                                 cell_volume=lat.cell_volume)
@@ -124,7 +125,9 @@ def collect_samples(blocks, cfg):
 
 
 def _check_degenerate(cfg):
-    if np.all(np.abs(cfg.sigma(cfg.init.field_on(cfg.lattice))) < 1e-14):
+    with np.errstate(over="ignore", invalid="ignore"):  # see engine.step
+        sigma_u0 = cfg.sigma(cfg.init.field_on(cfg.lattice))
+    if np.all(np.abs(sigma_u0) < 1e-14):
         raise DegenerateSigmaError(
             "sigma(u0) = 0 at every cell, so u stays at its mean and every "
             "G_R vanishes")
@@ -330,6 +333,10 @@ def check_config(cfg):
         raise ValueError("d must be at most %d for kind %r, whose cell "
                          "quadrature would not fit in memory; got d = %d"
                          % (QUADRATURE_MAX_D, cfg.kind, cfg.spec.d))
+    if cfg.kind == "lemma31" and cfg.spec.d > LEMMA31_MAX_D:
+        raise ValueError("d must be at most %d for kind 'lemma31', whose 1F1 "
+                         "expansion loses accuracy above it; got d = %d"
+                         % (LEMMA31_MAX_D, cfg.spec.d))
     # stream keys hold the seed in 64 bits; wider seeds would alias
     if not 0 <= cfg.seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64), got %d" % cfg.seed)
@@ -393,8 +400,6 @@ def check_config(cfg):
 
 
 def run_experiment(cfg, workers=1):
-    if cfg.kind not in KINDS:
-        raise ValueError("unknown kind %r" % (cfg.kind,))
     t0 = _time.monotonic()
     pipeline, steps = KINDS[cfg.kind][:2]
     rs = ResultSet(config=cfg)

@@ -14,7 +14,8 @@ from riesz_she.runner import (EXIT_CONFIG, EXIT_DEGENERATE,
                               EXIT_INSTABILITY, EXIT_PASS, EXIT_STAT_FAIL,
                               KINDS, ResultSet, emit_results, lag_cells,
                               run_experiment)
-from riesz_she.stats import StatsReport, correlation_decay_check
+from riesz_she.stats import (LEMMA31_MAX_D, StatsReport,
+                             correlation_decay_check)
 
 MINIMAL = """
 kind = clt
@@ -378,11 +379,6 @@ def test_kind_specific_validation():
         with pytest.raises(ConfigError, match="lags is empty"):
             parse_config(MINIMAL.replace("kind = clt", "kind = " + kind)
                          .replace("seed = 7", "seed = 7\nlags ="))
-    # parse_config refuses an unknown kind, so one is set after parsing
-    cfg = parse_config(MINIMAL)
-    cfg.kind = "wavelet"
-    with pytest.raises(ValueError, match="unknown kind 'wavelet'"):
-        run_experiment(cfg)
 
 
 CONSTANTS_CFG = """
@@ -567,6 +563,45 @@ def test_blow_up_exits_3_with_one_line(workers, tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith("numerical instability: replica 20: blow-up/"
                           "instability at step 110 (t=110)")
+
+
+OVERFLOWING_START = """
+kind = %s
+d = 1
+beta = 0.5
+T = 0.04
+dt = 0.002
+R_list = 0.5, 1, 2
+n_replicas = 100
+
+[lattice]
+n = 64
+L = 4.0
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("kind, text", [
+    pytest.param("clt", "[sigma]\nkind = affine\na = 1e308\n"
+                 "[init]\nvalue = 10\n", id="affine-sigma"),
+    pytest.param("clt", "[sigma]\nkind = sine-affine\nb = 1e308\n"
+                 "[init]\nvalue = 10\n", id="sine-affine-sigma"),
+    pytest.param("variance-limit", "[init]\nkind = cosine\noffset = 1e308\n"
+                 "amplitude = 1e308\n", id="cosine-start"),
+    pytest.param("clt", "[init]\nvalue = 1e308\n", id="linear-sigma")])
+def test_overflowing_start_exits_3_with_one_line(kind, text, workers,
+                                                 tmp_path, capsys):
+    # sigma(u0), or u0 and its mean fields, overflow before the first step:
+    # the degenerate check, the mean fields and simulate's u0 leave the
+    # overflow to step, which reports it once
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(OVERFLOWING_START % kind + text)
+    assert cli_main([kind, "--config", str(cfgfile),
+                     "--workers", workers]) == EXIT_INSTABILITY
+    assert capsys.readouterr().err == (
+        "numerical instability: replica 0: blow-up/instability at step 1 "
+        "(t=0.002); reduce dt or amplitude\n")
 
 
 @pytest.mark.parametrize("kind, text, extra", [
@@ -761,6 +796,22 @@ def test_lemma31_runs_for_tiny_and_huge_y(tmp_path, capsys):
     assert [r["metric"] for r in reports["reports"]] == \
         ["lemma31_max_ratio"] * 3
     assert len({r["estimate"] for r in reports["reports"]}) == 1
+
+
+def test_lemma31_above_its_largest_d_is_a_config_error(tmp_path, capsys):
+    # the kernel's 1F1 is within 1e-10 up to LEMMA31_MAX_D; at d = 100 it
+    # was tens of percent off, and the report still passed
+    text = "kind = lemma31\nd = %d\nbeta = 0.5\ny_list = 1\n" \
+           "[lattice]\nn = 2\nL = 1\n"
+    parse_config(text % LEMMA31_MAX_D)
+    cfgfile = tmp_path / "c.cfg"
+    for d in (LEMMA31_MAX_D + 1, 100):
+        cfgfile.write_text(text % d)
+        assert cli_main(["lemma31", "--config", str(cfgfile)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("config error: d must be at most %d for kind "
+                       "'lemma31', whose 1F1 expansion loses accuracy above "
+                       "it; got d = %d\n" % (LEMMA31_MAX_D, d))
 
 
 def test_unclampable_embedding_is_a_config_error(tmp_path, capsys):
@@ -1104,6 +1155,19 @@ def test_fewest_replicas_come_from_the_kinds_table(kind):
         parse_config(text.replace("n_replicas = 200",
                                   "n_replicas = %d" % (fewest - 1)))
     parse_config(text.replace("n_replicas = 200", "n_replicas = %d" % fewest))
+
+
+@pytest.mark.parametrize("kind", ["noise-validate", "variance-limit", "clt",
+                                  "fclt", "decay"])
+def test_the_kinds_table_is_the_only_replica_floor(kind, tmp_path,
+                                                   monkeypatch):
+    # no statistic keeps a floor of its own: with the table's lowered to 50,
+    # a 60-replica run gets through every statistic of its kind
+    monkeypatch.setitem(KINDS, kind, KINDS[kind][:3] + (50,))
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(_every_kind_text(kind))
+    assert cli_main([kind, "--config", str(cfgfile), "--replicas", "60"]) \
+        in (EXIT_PASS, EXIT_STAT_FAIL)
 
 
 @pytest.mark.parametrize("kind", list(KINDS))

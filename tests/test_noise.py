@@ -1,4 +1,3 @@
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -69,9 +68,6 @@ def test_cell_self_energy_d2_frozen_oracle():
 def test_cell_self_energy_bad_h():
     with pytest.raises(ValueError):
         cell_self_energy(0.0, RieszSpec(1, 0.5))
-    # RieszSpec refuses beta >= d, so a stand-in spec reaches the guard
-    with pytest.raises(ValueError, match="diverges for beta >= d"):
-        cell_self_energy(1.0, SimpleNamespace(d=1, beta=1.0))
 
 
 def test_embedding_row_d1_n4():
@@ -161,17 +157,6 @@ def test_covariance_diagnostic_determinism(slices_1d):
     rb = covariance_diagnostic(lag_means(b, lags), lags, cov, dt)
     for x, y in zip(ra, rb):
         assert x.estimate == y.estimate
-
-
-def test_covariance_diagnostic_errors(slices_1d):
-    lat, spec, cov, dt, slices = slices_1d
-    m = lag_means(slices[:200], [(0,)])
-    with pytest.raises(ValueError, match="empty lag"):
-        covariance_diagnostic(m, [], cov, dt)
-    with pytest.raises(ValueError, match="100 slices"):
-        covariance_diagnostic(m[:50], [(0,)], cov, dt)
-    with pytest.raises(ValueError, match="wrong dimension"):
-        covariance_diagnostic(m, [(0, 0)], cov, dt)
 
 
 def test_covariance_diagnostic_lags_wrap_mod_n(slices_1d):
@@ -290,9 +275,3 @@ def test_sampler_is_the_symmetric_root_of_the_circulant(d, n, beta):
     target = dt * np.fft.ifftn(cov.eigenvalues).real[tuple(lag)]
     assert np.abs(A - A.T).max() <= 1e-15
     assert np.abs(A @ A.T - target).max() <= 1e-15
-
-
-def test_sample_slice_rejects_bad_dt(slices_1d):
-    lat, spec, cov, dt, _ = slices_1d
-    with pytest.raises(ValueError):
-        sample_slice(cov, 0.0, normals(lat, 0, 0))

@@ -1,5 +1,4 @@
 import functools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,9 +113,6 @@ def test_k_beta_closed_form():
         val = k_beta(kind, RieszSpec(1, 0.5))
         assert val == pytest.approx(K_BETA_HALF, rel=1e-12)
         assert val == pytest.approx(7.54247, abs=1e-5)
-    # RieszSpec refuses beta >= d, so a stand-in spec reaches the guard
-    with pytest.raises(ValueError, match="k diverges for beta >= d"):
-        k_beta("ball", SimpleNamespace(d=2, beta=2.0))
 
 
 @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
@@ -243,12 +239,6 @@ def test_estimate_eta_degenerate(torus_mean_run):
     times, eta = estimate_eta({t: np.repeat(zero, len(v), axis=0)
                                for t, v in torus_mean_run.items()})
     assert np.all(eta == 0.0)
-
-
-def test_estimate_eta_needs_replicas(torus_mean_run):
-    small = {t: v[:50] for t, v in torus_mean_run.items()}
-    with pytest.raises(ValueError, match="100 replicas"):
-        estimate_eta(small)
 
 
 def test_translated_region_variance_invariance():
