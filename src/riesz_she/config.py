@@ -77,15 +77,15 @@ _REQUIRED = object()
 # Every key parse_config reads, per section ("" is the top level), with its
 # converter and default, in canonical_text order; any other key is a config
 # error. A default is the text the key reads as when it is not given; None
-# means unset, to be worked out in parse_config. store_fields is retired and
-# ignored.
+# means unset, to be worked out in parse_config. The last two top-level keys
+# are retired: still accepted, then ignored.
 KEYS = {"": {"kind": (str, _REQUIRED), "d": (int, _REQUIRED),
              "beta": (float, _REQUIRED), "T": (_finite, "0"),
              "dt": (_finite, None), "record_times": (_float_list, None),
              "R_list": (_float_list, ""), "region_kind": (str, "ball"),
              "n_replicas": (int, "100"), "seed": (int, "0"),
              "p_moment": (int, "2"), "lags": (_int_list, None),
-             "y_list": (_float_list, None), "store_fields": (str, None)},
+             "y_list": (str, None), "store_fields": (str, None)},
         "lattice": {"n": (int, _REQUIRED), "L": (_finite, _REQUIRED)},
         "sigma": {"kind": (str, "linear"), "a": (_finite, "1"),
                   "b": (_finite, "0"), "c": (_finite, "0")},
@@ -120,7 +120,7 @@ def _text(conv, value):
 
 class ExperimentConfig:
     def __init__(self, spec, lattice, sigma, init, **top):
-        """top: each value of KEYS[""] but d, beta and store_fields."""
+        """top: each value of KEYS[""] but d, beta and the retired keys."""
         self.spec, self.lattice, self.sigma, self.init = (
             spec, lattice, sigma, init)
         vars(self).update(top)
@@ -138,8 +138,8 @@ class ExperimentConfig:
 
     def canonical_text(self):
         """The sections of KEYS, each key in its order, without unset keys
-        (None), the retired store_fields and the sigma and init keys that
-        their kind does not read."""
+        (None), the retired keys and the sigma and init keys that their kind
+        does not read."""
         values = {"": {**vars(self), "d": self.spec.d, "beta": self.spec.beta},
                   "lattice": vars(self.lattice), "sigma": vars(self.sigma),
                   "init": vars(self.init)}
@@ -165,7 +165,7 @@ def parse_config(text, overrides=None):
     converted or checked. Every ValueError becomes a ConfigError here."""
     sections = _parse_sections(text)
     top = _read({**sections[""], **(overrides or {})}, "")
-    del top["store_fields"]
+    del top["store_fields"], top["y_list"]
     start = _read(sections["init"], "init")
     try:
         spec = RieszSpec(d=top.pop("d"), beta=top.pop("beta"))

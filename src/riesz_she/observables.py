@@ -127,13 +127,12 @@ def eta_sq_integrals(t_grid, eta):
 
 
 def estimate_eta(means_by_time):
-    """(times, eta): eta(s), the mean over replicas of the torus mean of
-    sigma(u(s, .)), at each time of means_by_time, which maps a time to
+    """eta(s), the mean over replicas of the torus mean of sigma(u(s, .)),
+    at each time of means_by_time in increasing order; it maps a time to
     one sigma_lag_means row per replica (the torus mean in column 0)."""
-    times = sorted(means_by_time)
-    per_rep = np.array([means_by_time[t][:, 0] for t in times],
+    per_rep = np.array([means_by_time[t][:, 0] for t in sorted(means_by_time)],
                        dtype=np.float64)
-    return np.array(times), per_rep.mean(axis=1)
+    return per_rep.mean(axis=1)
 
 
 def limit_covariance(times, limit):

@@ -143,7 +143,7 @@ def _limit_variances(cfg, rs):
         eta = np.full(len(times), float(cfg.sigma(np.float64(cfg.init.value))))
     else:
         eta0 = float(np.mean(cfg.sigma(cfg.init.field_on(cfg.lattice))))
-        eta = [eta0, *estimate_eta(rs.reduced)[1]]
+        eta = [eta0, *estimate_eta(rs.reduced)]
     k = k_beta(cfg.region_kind, cfg.spec)
     return {t: k * v for t, v in eta_sq_integrals(times, eta).items()}
 
@@ -272,8 +272,7 @@ def _run_decay(cfg, rs):
 
 
 def _run_lemma31(cfg, rs):
-    for y in cfg.y_list:
-        rs.reports.append(lemma31_check(cfg.spec, [y] + [0.0] * (cfg.spec.d - 1)))
+    rs.reports.append(lemma31_check(cfg.spec))
 
 
 def _run_constants(cfg, rs):
@@ -387,9 +386,6 @@ def check_config(cfg):
             raise ValueError("tightness gaps must span a decade")
         if cfg.p_moment not in (2, 4):
             raise ValueError("p_moment must be 2 or 4, got %d" % cfg.p_moment)
-    if cfg.kind == "lemma31" and not (
-            cfg.y_list and all(0 < abs(y) < np.inf for y in cfg.y_list)):
-        raise ValueError("lemma31 needs y_list of nonzero finite values")
     # an exact eta is not estimated: variance-limit then needs a sample
     # variance, fclt a full-rank covariance over its record times
     if cfg.kind in ("variance-limit", "fclt") and cfg.eta_exact:

@@ -160,7 +160,7 @@ NEW_VALUES = {("", "kind"): "constants", ("", "d"): "2", ("", "beta"): "0.7",
               ("", "R_list"): "0.5, 1, 1.5", ("", "region_kind"): "box",
               ("", "n_replicas"): "300", ("", "seed"): "8",
               ("", "p_moment"): "4", ("", "lags"): "1, 2",
-              ("", "y_list"): "0.5", ("lattice", "n"): "64",
+              ("lattice", "n"): "64",
               ("lattice", "L"): "5", ("sigma", "kind"): "affine",
               ("sigma", "a"): "0.3", ("sigma", "b"): "0.7",
               ("sigma", "c"): "0.1", ("init", "kind"): "constant",
@@ -177,7 +177,8 @@ def _key_value(cfg, section, key):
 
 @pytest.mark.parametrize("section, key", [
     pytest.param(section, key, id="%s.%s" % (section or "top", key))
-    for section in KEYS for key in KEYS[section] if key != "store_fields"])
+    for section in KEYS for key in KEYS[section]
+    if key not in ("store_fields", "y_list")])
 def test_every_key_reaches_the_hash(section, key):
     # two configs that differ in one key must not share a config_hash
     sections = {"": {"kind": "clt", "d": "1", "beta": "0.5", "T": "0.04",
@@ -269,7 +270,6 @@ n_replicas = 200
 seed = 7
 p_moment = 4
 lags = 1, 2
-y_list = 0.5
 
 [lattice]
 n = 32
@@ -286,7 +286,7 @@ kind = cosine
 offset = 0.10000000000000001
 amplitude = 0.69999999999999996
 cycles = 3
-""", "6a30dc9d36a7711bfd1062e16e9a5a2c9bdce5a2bece11616282a19f40490f60"),
+""", "f03f824987042a2ccb3d5805388cb53a7a371346386c241d7aae5eed88064c56"),
     "affine-constant": (AFFINE_CONSTANT, """kind = clt
 d = 1
 beta = 0.5
@@ -345,9 +345,6 @@ def test_kind_specific_validation():
         parse_config(MINIMAL.replace("kind = clt", "kind = fclt"))
     with pytest.raises(ConfigError, match="base time plus"):
         parse_config(MINIMAL.replace("kind = clt", "kind = tightness"))
-    with pytest.raises(ConfigError, match="y_list"):
-        parse_config("kind = lemma31\nd = 1\nbeta = 0.5\n"
-                     "[lattice]\nn = 4\nL = 1.0\n")
     # each would otherwise fail in its statistic after the whole run
     with pytest.raises(ConfigError, match="clt needs >= 3 R_list values"):
         parse_config(MINIMAL.replace("R_list = 0.5, 1, 2", "R_list = 0.5, 1"))
@@ -776,16 +773,20 @@ def test_non_finite_T_L_or_dt_is_a_config_error(key, line, kind, match,
 
 
 @pytest.mark.parametrize("y_list", ["0", "0.5, nan", "inf"])
-def test_lemma31_y_without_a_length_is_a_config_error(y_list, tmp_path):
+def test_retired_y_list_is_ignored(y_list, tmp_path):
+    # lemma31's ratio does not depend on y, so no y is read: the key is
+    # accepted whatever it holds and stays out of the config hash
+    text = MINIMAL.replace("seed = 7", "seed = 7\ny_list = " + y_list)
+    assert parse_config(text).config_hash() == \
+        parse_config(MINIMAL).config_hash()
     cfgfile = tmp_path / "c.cfg"
-    cfgfile.write_text(MINIMAL.replace("seed = 7",
-                                       "seed = 7\ny_list = " + y_list))
-    assert cli_main(["lemma31", "--config", str(cfgfile)]) == EXIT_CONFIG
+    cfgfile.write_text(text)
+    assert cli_main(["lemma31", "--config", str(cfgfile)]) == EXIT_PASS
 
 
 def test_lemma31_runs_for_tiny_and_huge_y(tmp_path, capsys):
     # |y| of 1e-300 and 1e300 has no finite nonzero Euclidean norm in
-    # float64, but the ratio does not depend on |y|
+    # float64, but the ratio does not depend on |y|: one row per (d, beta)
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(MINIMAL.replace("seed = 7",
                                        "seed = 7\ny_list = 1, 1e-300, 1e300"))
@@ -793,9 +794,20 @@ def test_lemma31_runs_for_tiny_and_huge_y(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == EXIT_PASS
     assert capsys.readouterr().err == ""
     reports = json.loads((tmp_path / "out" / "reports.json").read_text())
-    assert [r["metric"] for r in reports["reports"]] == \
-        ["lemma31_max_ratio"] * 3
-    assert len({r["estimate"] for r in reports["reports"]}) == 1
+    assert [r["metric"] for r in reports["reports"]] == ["lemma31_max_ratio"]
+    assert reports["reports"][0]["params"] == "beta=0.5;d=1"
+
+
+def test_lemma31_passes_at_its_largest_d(tmp_path):
+    # the ratio at the grid's left end is 0.985871 here, 0.014 below its
+    # limit 1 but within 2e-5 of its small-s expansion, which the rule reads
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("kind = lemma31\nd = %d\nbeta = 0.5\n"
+                       "[lattice]\nn = 2\nL = 1\n" % LEMMA31_MAX_D)
+    assert cli_main(["lemma31", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "out")]) == EXIT_PASS
+    rows = (tmp_path / "out" / "reports.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["lemma31_max_ratio"]
 
 
 def test_lemma31_above_its_largest_d_is_a_config_error(tmp_path, capsys):
@@ -973,10 +985,10 @@ def test_reduced_eta_and_decay_match_stacked_fields():
                        .replace("n_replicas = 200", "n_replicas = 120")
                        .replace("seed = 7", "seed = 7\nrecord_times = "
                                 "0.02, 0.04") + SINE_AFFINE)
-    times, eta = estimate_eta(run_experiment(cfg).reduced)
+    eta = estimate_eta(run_experiment(cfg).reduced)
     stacks = _field_stacks(cfg)
-    assert list(times) == cfg.record_times
-    for t, e in zip(times, eta):
+    assert len(eta) == len(cfg.record_times)
+    for t, e in zip(cfg.record_times, eta):
         ref = cfg.sigma(stacks[t]).mean(axis=1).mean()
         assert e == pytest.approx(ref, rel=1e-12, abs=0)
     # decay: eta_hat and Psi_hat over positions and replicas, in d = 2

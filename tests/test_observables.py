@@ -223,10 +223,10 @@ def torus_mean_run():
 
 
 def test_estimate_eta_linear(torus_mean_run):
-    times, eta = estimate_eta(torus_mean_run)
-    assert list(times) == [0.0, 0.05, 0.1]
+    eta = estimate_eta(torus_mean_run)  # at 0, 0.05 and 0.1
+    assert len(eta) == 3
     assert eta[0] == 1.0  # deterministic start: eta(0) = sigma(1) exactly
-    for t, e in zip(times[1:], eta[1:]):
+    for t, e in zip([0.05, 0.1], eta[1:]):
         per_rep = torus_mean_run[t][:, 0]
         se = per_rep.std(ddof=1) / np.sqrt(len(per_rep))
         assert e == per_rep.mean()
@@ -236,8 +236,8 @@ def test_estimate_eta_linear(torus_mean_run):
 def test_estimate_eta_degenerate(torus_mean_run):
     deg = NonlinearitySpec("affine", a=1.0, b=-1.0)
     zero = sigma_lag_means(np.ones((1, 64)), deg, ())
-    times, eta = estimate_eta({t: np.repeat(zero, len(v), axis=0)
-                               for t, v in torus_mean_run.items()})
+    eta = estimate_eta({t: np.repeat(zero, len(v), axis=0)
+                        for t, v in torus_mean_run.items()})
     assert np.all(eta == 0.0)
 
 

@@ -1,5 +1,6 @@
-"""The names perfbench/launch.py wraps must exist where it looks them up, and
-the kinds perfbench/run.py runs must be rows of runner.KINDS.
+"""The names perfbench/launch.py wraps must exist where it looks them up,
+the kinds perfbench/run.py runs must be rows of runner.KINDS, and its
+workload configs must parse.
 
 A rename breaks only the benchmark's runs, which no other test makes.
 """
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from riesz_she import build_embedding, runner
-from riesz_she.config import load_config, parse_config
+from riesz_she.config import ConfigError, load_config, parse_config
 
 LAUNCH = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
 RUN = LAUNCH.with_name("run.py")
@@ -69,6 +70,18 @@ def test_benchmark_kinds_are_in_the_kinds_table(bench):
     assert set(bench.ALL_KINDS) <= set(runner.KINDS)
     assert bench.SIM_KINDS == tuple(kind for kind in bench.ALL_KINDS
                                     if runner.KINDS[kind][1])
+
+
+def test_every_workload_config_parses_under_its_kinds(bench):
+    # a key the benchmark writes that the config no longer accepts (a
+    # retired key made unknown, say) would fail every process of that
+    # workload, which only the benchmark's own runs would show
+    for name, workload in bench.WORKLOADS.items():
+        for kind in workload.kinds:
+            try:
+                parse_config(workload.config % {"seed": 42}, {"kind": kind})
+            except ConfigError as exc:
+                pytest.fail("workload %s, kind %s: %s" % (name, kind, exc))
 
 
 def test_every_traced_name_resolves(launch):

@@ -277,27 +277,26 @@ def test_lemma31_frozen_reference():
     # independent quadrature oracle (d=1, beta=0.5, y=1): the max over s of
     # E|1 + sqrt(s) Z|^{-1/2} / 1 is 1.3743, attained near s ~ 1.9, and the
     # small-s ratio tends to 1
-    rep = lemma31_check(RieszSpec(1, 0.5), [1.0])
+    rep = lemma31_check(RieszSpec(1, 0.5))
     assert rep.passed
     assert rep.estimate == pytest.approx(1.3743, abs=0.002)
     assert "small-s ratio 1.000" in rep.note
 
 
 def test_lemma31_scale_invariance():
-    # the s grid scales with |y|^2, so every y reports the sup of y = 1;
-    # y = 0.01 and 100 were outside a fixed grid's reach
-    unit = lemma31_check(RieszSpec(1, 0.5), [1.0]).estimate
+    # the ratio E|y + sqrt(s) Z|^{-beta} |y|^beta at s = |y|^2 g is the
+    # kernel at |y| = 1 and s = g, which is why lemma31 reads no y
     g = np.logspace(-3, 3, 61)
-    peak = g[np.argmax(_gaussian_smoothed_kernel(1.0, g, 0.5, 1))]
+    unit = _gaussian_smoothed_kernel(1.0, g, 0.5, 1)
+    assert lemma31_check(RieszSpec(1, 0.5)).estimate == unit.max()
+    peak = g[np.argmax(unit)]
     for y in (0.01, 0.5, 2.0, 100.0):
-        rep = lemma31_check(RieszSpec(1, 0.5), [y])
-        assert rep.passed
-        assert rep.estimate == unit
-        assert "small-s ratio 1.000" in rep.note
+        assert _gaussian_smoothed_kernel(y, y * y * g, 0.5, 1) * y ** 0.5 \
+            == pytest.approx(unit, rel=1e-13, abs=0)
         # independent check of the scaling: quadrature at |y| = y, at the
         # grid point of the sup, s = y^2 * g
         assert _quad_kernel_1d(y, y * y * peak, 0.5) * y ** 0.5 == \
-            pytest.approx(unit, rel=1e-7)
+            pytest.approx(unit.max(), rel=1e-7)
 
 
 def _quad_kernel_1d(y, s, beta):
@@ -355,11 +354,27 @@ def test_smoothed_kernel_large_s_in_d3():
 
 
 def test_lemma31_passes_in_d2():
-    rep = lemma31_check(RieszSpec(2, 1.5), [1.0, 0.0])
+    rep = lemma31_check(RieszSpec(2, 1.5))
     assert rep.passed
     assert rep.estimate == pytest.approx(
         max(_rice_kernel_2d(1.0, s, 1.5) for s in np.logspace(-3, 3, 61)),
         rel=1e-10)
+
+
+def test_lemma31_passes_in_every_regime():
+    # the ratio at g0 = 1e-3 is more than 0.01 below its limit 1 from
+    # d = 44 at beta = 0.5 (d = 15 at beta = 1.9), but within 2e-4 of its
+    # expansion 1 + a1 g0 + a2 g0^2 in every d
+    for d in (1, 2, 3, 15, 24, 44, 61):
+        for beta in (0.5, 1.0, 1.5, 1.9):
+            if beta < d:
+                rep = lemma31_check(RieszSpec(d, beta))
+                assert rep.passed, (d, beta, rep.note)
+                interior = d < beta + 2
+                assert rep.note.endswith("interior sup (d < beta + 2)" if
+                                         interior else "superharmonic)")
+                # at d = beta + 2 (d = 3, beta = 1) the ratio is 1 to rounding
+                assert (rep.estimate > 1.0 + 1e-12) == interior
 
 
 def test_stats_report_as_row():
@@ -473,8 +488,8 @@ def test_ks_distance_and_lemma31_load_no_scipy():
     assert _modules_after("""
 import numpy as np
 from riesz_she import RieszSpec, ks_distance, lemma31_check
-assert lemma31_check(RieszSpec(1, 0.5), [1.0]).passed
-assert lemma31_check(RieszSpec(3, 1.9), [1.0, 0.0, 0.0]).passed
+assert lemma31_check(RieszSpec(1, 0.5)).passed
+assert lemma31_check(RieszSpec(3, 1.9)).passed
 assert ks_distance(np.random.default_rng(1).standard_normal(4000)) < 0.05
 """) == "[]"
 
@@ -491,7 +506,7 @@ for kind in ("clt", "lemma31"):
     assert main([kind, "--config", %r, "--out", %r]) in (0, 1), kind
 """ % (str(cfg), str(tmp_path / "out"))) == "['scipy']"
     assert (tmp_path / "out" / "reports.csv").read_text().count(
-        "lemma31_max_ratio") == 2
+        "lemma31_max_ratio") == 1
 
 
 def test_ndtr_same_floats_as_scipy():
@@ -547,8 +562,11 @@ def test_lemma31_matches_scipy_at_its_largest_d(beta):
     a, b = beta / 2.0, d / 2.0
     assert _hyp1f1_neg(a, b, z) == \
         pytest.approx(hyp1f1(a, b, -z), rel=1e-9, abs=0)
-    # the reported sup, against the closed form with scipy's 1F1
+    # d >= beta + 2: the ratio falls with s, so the sup is its s -> 0
+    # limit 1, and the small-s ratio is scipy's closed form at g = 1e-3
     kernel = ((2.0 * g) ** -a * np.exp(gammaln(b - a) - gammaln(b))
               * hyp1f1(a, b, -1.0 / (2.0 * g)))
-    rep = lemma31_check(RieszSpec(d, beta), [1.0] + [0.0] * (d - 1))
-    assert rep.estimate == pytest.approx(kernel.max(), rel=1e-9)
+    assert kernel.max() == kernel[0] < 1.0
+    rep = lemma31_check(RieszSpec(d, beta))
+    assert rep.passed and rep.estimate == 1.0
+    assert rep.note.startswith("small-s ratio %.6f," % kernel[0])
